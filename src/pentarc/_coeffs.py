@@ -1,13 +1,15 @@
-"""Exact large-index coefficients of Delta^j E4^a E6^b by multi-prime
-modular convolution.
+"""Exact coefficients of Delta^j E4^a E6^b by multi-prime modular
+convolution.
 
-Direct Fraction convolution is quadratic with huge integers and unusable at
-the index ranges the Dirichlet sums need (~1.7e5), so the tables are built
-modulo several 21-bit primes with numpy (int64 convolutions stay exact:
-products < 2^42 accumulated over < 2^20 terms) and reconstructed by CRT at
-the requested indices.  eta^24 powers come from the octic power of Jacobi's
-cube identity prod(1-q^n)^3 = sum (-1)^j (2j+1) q^(j(j+1)/2), applied as
-sparse shifted adds.
+The Dirichlet sums read these tables only up to index N + 1 (2001 at the
+largest default truncation) and reach larger indices through Hecke
+multiplicativity, but exact Fraction convolution is still quadratic in big
+integers.  So the tables are built modulo several 21-bit primes with numpy
+(int64 convolutions stay exact: products < 2^42 accumulated over < 2^20
+terms) and reconstructed by CRT at the requested indices.  eta^24 powers
+come from the octic power of Jacobi's cube identity
+prod(1-q^n)^3 = sum (-1)^j (2j+1) q^(j(j+1)/2), applied as sparse shifted
+adds.
 """
 
 from __future__ import annotations

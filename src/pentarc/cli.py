@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from . import dirichlet as dmod
@@ -41,6 +42,21 @@ class RunConfig:
     float_mode: str = "binary64"
     fmt: str = "json"
     out: str | None = None
+
+    @cached_property
+    def dps(self) -> int | None:
+        """Decimal digits of the wide float mode; None for binary64."""
+        return _parse_float_mode(self.float_mode)
+
+
+def _parse_float_mode(mode: str) -> int | None:
+    if mode == "binary64":
+        return None
+    kind, _, digits = str(mode).partition(":")
+    # below 15 digits mpmath is coarser than the binary64 weights it replaces
+    if kind != "wide" or not digits.isdigit() or int(digits) < 15:
+        raise ValueError(f"--float-mode must be binary64 or wide:<dps> with integer dps >= 15, got {mode!r}")
+    return int(digits)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -68,7 +84,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    cfg.dps  # parses --float-mode, so a bad value fails before any command runs
+    return cfg
 
 
 def _flat(obj, prefix=""):
@@ -211,23 +229,16 @@ def cmd_eigenforms(args, cfg: RunConfig) -> tuple[dict, int]:
     return {"command": "eigenforms", "results": results}, 0
 
 
-def _parse_float_mode(mode: str) -> int | None:
-    if mode == "binary64":
-        return None
-    if mode.startswith("wide:"):
-        return int(mode.split(":", 1)[1])
-    raise ValueError(f"unknown float mode {mode!r}")
-
-
 def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
     nu = args.nu
     big_n = cfg.big_n if cfg.big_n is not None else dmod.default_big_n(nu)
-    dps = _parse_float_mode(cfg.float_mode)
+    if not 1 <= big_n <= dmod.MAX_BIG_N:
+        raise ValueError(f"--big-n must lie in 1..{dmod.MAX_BIG_N}, got {big_n}")
     projections = hecke.eigenform_projections(nu)
     embedded = dmod.embedded_eigenforms(nu, big_n)
     results = []
     for i, (f, gamma) in enumerate(zip(embedded, projections)):
-        value = dmod.dirichlet_double_sum(f, nu, cfg.big_m, big_n, dps)
+        value = dmod.dirichlet_double_sum(f, nu, cfg.big_m, big_n, cfg.dps)
         results.append(
             {
                 "eigenform": i + 1,
@@ -279,11 +290,14 @@ def _shared_options() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--prec", type=int, default=S, help="integer q-coefficients (default 60)")
     shared.add_argument("--big-m", dest="big_m", type=int, default=S, help="Dirichlet m-truncation")
-    shared.add_argument("--big-n", dest="big_n", type=int, default=S, help="Dirichlet n-truncation")
+    shared.add_argument(
+        "--big-n", dest="big_n", type=int, default=S,
+        help=f"Dirichlet n-truncation, 1..{dmod.MAX_BIG_N}",
+    )
     shared.add_argument("--depth-c", dest="depth_c", type=int, default=S, help="Kloosterman depth C")
     shared.add_argument(
         "--float-mode", dest="float_mode", default=S,
-        help="binary64 (default) or wide:<dps> for mpmath weight evaluation",
+        help="binary64 (default) or wide:<dps>, dps >= 15, for mpmath weight evaluation",
     )
     shared.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default=S)
     shared.add_argument("--out", default=S, help="write output to a file instead of stdout")

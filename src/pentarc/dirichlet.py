@@ -13,8 +13,21 @@ converges (as M, N grow) to the Petersson pairing of the order-nu eta
 bracket against f, scaled by 24^nu; dividing by the exact projection ratio
 from the hecke module therefore estimates the Petersson norm of f.
 
+The coefficients a_f((n^2-1)/24) reach ~N^2/24, but the exact monomial
+tables are built only to N + 1 and read at its primes: a normalized level-1
+eigenform of weight w has multiplicative coefficients with
+
+    a(p^(k+1)) = a(p) a(p^k) - p^(w-1) a(p^(k-1)),
+
+and every prime power dividing (n^2-1)/24 divides n - 1 or n + 1 (their gcd
+is 2), so it is at most n + 1.  Each needed coefficient is assembled exactly
+in Q(sqrt(d)) from a_f(p), p <= N + 1, and checked against the table
+wherever the table reaches it directly.
+
 Summation is j-outer, m-inner, n-innermost, with Neumaier-compensated
-accumulation so results reproduce across platforms to >= 12 digits.
+accumulation so results reproduce across platforms to >= 12 digits.  The
+double sum meets only M + nu - 1 distinct exponents s, so each partial sum
+D(f, N; s) is evaluated once and reused for every (j, m) that needs it.
 """
 
 from __future__ import annotations
@@ -23,16 +36,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
-from ._coeffs import cusp_monomial_coeffs
-from .errors import PrecisionError
+from ._coeffs import _MAX_LEN, cusp_monomial_coeffs
+from .errors import InternalCancellationError, PrecisionError
 from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial
 from .forms import delta, dim_cusp, eisenstein
 from .hecke import eigenforms
 
 __all__ = [
     "DEFAULT_BIG_M",
+    "MAX_BIG_N",
     "default_big_n",
     "kronecker12",
     "kronecker_symbol",
@@ -47,6 +61,9 @@ __all__ = [
 ]
 
 DEFAULT_BIG_M = 100
+#: largest n-truncation whose monomial tables (indices 0..N+1) pass the
+#: int64 convolution guard of the CRT layer
+MAX_BIG_N = _MAX_LEN - 2
 
 _KRON12 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 
@@ -137,7 +154,10 @@ def dirichlet_weight(nu: int, j: int, m: int) -> PiScalar:
 def dirichlet_weight_float(nu: int, j: int, m: int, dps: int | None = None) -> float:
     """Float value of dirichlet_weight; optional mpmath evaluation at ``dps``
     decimal digits for wide-precision cross-checks."""
-    w = dirichlet_weight(nu, j, m)
+    return _pi_scalar_float(dirichlet_weight(nu, j, m), dps)
+
+
+def _pi_scalar_float(w: PiScalar, dps: int | None) -> float:
     if dps is None:
         return float(w)
     import mpmath
@@ -172,27 +192,43 @@ class _Neumaier:
         return self.total + self.comp
 
 
-def dirichlet_partial(f, N: int, s: int) -> float:
-    """Partial sum of the twisted series over 1 <= n <= N.
-
-    ``f`` needs ``weight`` and ``a_float(m)``; coefficients must reach
-    (N^2-1)/24.  Requires s >= weight + 1 (absolute convergence).
-    """
+def _twisted_terms(f, N: int, s_min: int) -> list[tuple[float, float]]:
+    """The nonzero terms (chi(n) a_f((n^2-1)/24), n) for 1 <= n <= N, in n
+    order, for exponents s >= s_min.  Zero terms leave a Neumaier sum as it
+    is, so dropping them changes no bit of it."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if s < f.weight + 1:
-        raise ValueError(f"s = {s} below absolute-convergence bound {f.weight + 1}")
-    acc = _Neumaier()
+    if s_min < f.weight + 1:
+        raise ValueError(f"s = {s_min} below absolute-convergence bound {f.weight + 1}")
+    terms = []
     for n in range(1, N + 1):
         chi = kronecker12(n)
         if not chi:
             continue
         num = n * n - 1
         if num % 24:
-            raise AssertionError(f"24 does not divide {n}^2 - 1 with gcd(n,12)=1")
+            raise InternalCancellationError(f"24 does not divide {n}^2 - 1 with gcd(n,12)=1")
+        coeff = chi * f.a_float(num // 24)
+        if coeff:
+            terms.append((coeff, float(n)))
+    return terms
+
+
+def _partial_sum(terms: list[tuple[float, float]], s: int) -> float:
+    acc = _Neumaier()
+    for coeff, n in terms:
         # n^(-s) underflows to 0.0 for terms far below representable range
-        acc.add(chi * f.a_float(num // 24) * float(n) ** (-s))
+        acc.add(coeff * n ** (-s))
     return acc.value()
+
+
+def dirichlet_partial(f, N: int, s: int) -> float:
+    """Partial sum of the twisted series over 1 <= n <= N.
+
+    ``f`` needs ``weight`` and ``a_float(m)``; coefficients must reach
+    (N^2-1)/24.  Requires s >= weight + 1 (absolute convergence).
+    """
+    return _partial_sum(_twisted_terms(f, N, s), s)
 
 
 def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> float:
@@ -200,16 +236,25 @@ def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> 
 
     ``dps`` switches the weight evaluation to mpmath at that many decimal
     digits (the optional wide-float mode); the partial sums stay binary64.
+    Each distinct exponent's partial sum is computed once, and the exact
+    weights step in m by beta(nu, j, m) = beta(nu, j, m-1) (2nu+m-2)/m; both
+    give the same floats as calling dirichlet_partial and dirichlet_weight
+    for every (j, m).
     """
     if M < 0:
         raise ValueError("M must be >= 0")
+    terms = _twisted_terms(f, N, 2 * nu + 1)
+    partials: dict[int, float] = {}
     acc = _Neumaier()
     for j in range(nu - 1):
+        weight = dirichlet_weight(nu, j, 0)
         for m in range(M + 1):
-            acc.add(
-                dirichlet_weight_float(nu, j, m, dps)
-                * dirichlet_partial(f, N, 2 * nu + 1 + 2 * m + 2 * j)
-            )
+            if m:
+                weight = weight * Fraction(2 * nu + m - 2, m)
+            s = 2 * nu + 1 + 2 * m + 2 * j
+            if s not in partials:
+                partials[s] = _partial_sum(terms, s)
+            acc.add(_pi_scalar_float(weight, dps) * partials[s])
     return acc.value()
 
 
@@ -266,7 +311,7 @@ def _eigenform_monomial_coords(nu: int) -> tuple[tuple[tuple[int, int], ...], tu
             for j in range(1, dim):
                 synth = synth + c[j] * basis[j].coeff(n)
             if synth != f.a(n):
-                raise AssertionError("eigenform does not match its monomial coordinates")
+                raise InternalCancellationError("eigenform does not match its monomial coordinates")
         coords.append(tuple(c))
     return exps, tuple(coords)
 
@@ -286,30 +331,88 @@ def _solve_quadnum(mat, rhs):
     return [aug[i][n] for i in range(n)]
 
 
+def _primes_upto(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def _prime_power_coeffs(at_prime: dict[int, QuadNum], weight: int, top: int) -> dict[int, QuadNum]:
+    """a_f(p^k) for every prime power p^k <= top from the a_f(p), by the
+    Hecke relation a(p^(k+1)) = a(p) a(p^k) - p^(w-1) a(p^(k-1))."""
+    out = {}
+    for p, a_p in at_prime.items():
+        prev, cur, q = QuadNum(1), a_p, p
+        out[q] = cur
+        while q * p <= top:
+            prev, cur, q = cur, a_p * cur - p ** (weight - 1) * prev, q * p
+            out[q] = cur
+    return out
+
+
+def _multiplicative_coeff(m: int, primes: list[int], at_power: dict[int, QuadNum]) -> QuadNum:
+    """a_f(m), m >= 1, as the product of a_f(q) over the prime powers q
+    exactly dividing m, found by trial division with ``primes`` (ascending)."""
+    value = QuadNum(1)
+    rest = m
+    for p in primes:
+        if p * p > rest:
+            break
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            value = value * at_power[q]
+    if rest > 1:
+        if rest not in at_power:
+            raise InternalCancellationError(
+                f"prime factor {rest} of index {m} lies beyond the tabulated primes"
+            )
+        value = value * at_power[rest]
+    return value
+
+
 @lru_cache(maxsize=8)
 def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     """Embedded coefficient tables covering every index (n^2-1)/24, n <= N.
 
-    Coefficients are assembled exactly in Q(sqrt(d)) from the CRT monomial
-    tables and rounded once at embedding time.
+    The monomial tables reach only N + 1.  Coefficients are assembled
+    exactly in Q(sqrt(d)) from the a_f(p), p <= N + 1, and rounded once at
+    embedding time; every needed index <= N + 1 is also read straight from
+    the tables and must agree with its assembly.
     """
     if dim_cusp(2 * nu) == 0:
         raise ValueError(f"S_{2*nu} is trivial")
-    indices = tuple(
-        (n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1
-    )
-    mmax = indices[-1] if indices else 0
+    top = N + 1
+    indices = [(n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1]
+    primes = _primes_upto(top)
+    direct = sorted(set(primes).union(m for m in indices if m <= top))
     exps, coords = _eigenform_monomial_coords(nu)
     tables = [
-        cusp_monomial_coeffs(1, a, b, indices, mmax) for a, b in exps
+        dict(zip(direct, cusp_monomial_coeffs(1, a, b, tuple(direct), top)))
+        for a, b in exps
     ]
+
+    def from_tables(c, m: int) -> QuadNum:
+        exact = c[0] * tables[0][m]
+        for j in range(1, len(exps)):
+            exact = exact + c[j] * tables[j][m]
+        return exact
+
     out = []
     for form, c in zip(eigenforms(2 * nu), coords):
+        at_power = _prime_power_coeffs({p: from_tables(c, p) for p in primes}, form.weight, top)
         values = {}
-        for pos, m in enumerate(indices):
-            exact = c[0] * tables[0][pos]
-            for j in range(1, len(exps)):
-                exact = exact + c[j] * tables[j][pos]
+        for m in indices:
+            exact = _multiplicative_coeff(m, primes, at_power) if m else QuadNum(0)
+            if m <= top and exact != from_tables(c, m):
+                raise InternalCancellationError(
+                    f"coefficient {m} of the weight-{form.weight} eigenform breaks Hecke multiplicativity"
+                )
             values[m] = exact.embed()
         out.append(EmbeddedEigenform(form.weight, form.disc, values))
     return tuple(out)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pentarc import dirichlet as dmod
 from pentarc.cli import main
 
 
@@ -85,6 +86,41 @@ def test_dirichlet_small(capsys):
     assert rec["projection_exact"]["a"] == "-33108590592/691"
     assert data["big_m"] == 2 and data["big_n"] == 60
     assert float(rec["norm_estimate"]) > 0
+
+
+@pytest.mark.parametrize("mode", ["wide:0", "wide:1", "wide:-3", "wide:x"])
+def test_bad_float_mode_exits_2(capsys, mode):
+    code = main(["--float-mode", mode, "dirichlet", "6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--float-mode" in captured.err
+
+
+@pytest.mark.parametrize("big_n", [0, dmod.MAX_BIG_N + 1])
+def test_big_n_out_of_range_exits_2(capsys, big_n):
+    code = main(["--big-n", str(big_n), "dirichlet", "6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--big-n" in captured.err
+
+
+def test_corrupt_monomial_table_exits_3(capsys, monkeypatch):
+    real = dmod.cusp_monomial_coeffs
+
+    def corrupted(dp, a4, b6, indices, mmax):
+        values = real(dp, a4, b6, indices, mmax)
+        return [v + 1 if m == 2 else v for m, v in zip(indices, values)]
+
+    monkeypatch.setattr(dmod, "cusp_monomial_coeffs", corrupted)
+    dmod.embedded_eigenforms.cache_clear()
+    try:
+        code = main(["--big-m", "0", "--big-n", "61", "dirichlet", "6"])
+    finally:
+        dmod.embedded_eigenforms.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "internal assertion failed" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_rademacher_range(capsys):

@@ -5,7 +5,13 @@ from math import gcd
 import mpmath
 import pytest
 
+from pentarc._coeffs import cusp_monomial_coeffs
 from pentarc.dirichlet import (
+    DEFAULT_BIG_M,
+    _eigenform_monomial_coords,
+    _multiplicative_coeff,
+    _prime_power_coeffs,
+    default_big_n,
     dirichlet_double_sum,
     dirichlet_partial,
     dirichlet_weight,
@@ -15,7 +21,8 @@ from pentarc.dirichlet import (
     kronecker_symbol,
     petersson_norm_estimate,
 )
-from pentarc.errors import PrecisionError
+from pentarc.errors import InternalCancellationError, PrecisionError
+from pentarc.exactnum import QuadNum
 from pentarc.forms import delta
 from pentarc.hecke import eigenforms
 
@@ -141,6 +148,95 @@ def test_double_sum_hand_composed():
     got = dirichlet_double_sum(f, 6, 0, 2)
     assert got == pytest.approx(total, rel=1e-14, abs=1e-300)
     assert math.isfinite(got)
+
+
+def _neumaier_sum(values) -> float:
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+def _double_sum_reference(f, nu, M, N, dps=None):
+    """Every (j, m) evaluates its weight from scratch and its partial sum
+    over every n, zero terms included."""
+
+    def partial(s):
+        return _neumaier_sum(
+            kronecker12(n) * f.a_float((n * n - 1) // 24) * float(n) ** (-s)
+            for n in range(1, N + 1)
+            if kronecker12(n)
+        )
+
+    return _neumaier_sum(
+        dirichlet_weight_float(nu, j, m, dps) * partial(2 * nu + 1 + 2 * m + 2 * j)
+        for j in range(nu - 1)
+        for m in range(M + 1)
+    )
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_double_sum_matches_reference_loop(dps):
+    for nu, M, N in ((6, 7, 60), (12, 5, 40), (9, 0, 25)):
+        for f in embedded_eigenforms(nu, N):
+            assert dirichlet_double_sum(f, nu, M, N, dps) == _double_sum_reference(f, nu, M, N, dps)
+
+
+def test_default_double_sums_pinned():
+    expected = {
+        6: ["-49.608381993955945"],
+        12: ["-1869261857645.771", "-4182695338638.0947"],
+    }
+    for nu, values in expected.items():
+        N = default_big_n(nu)
+        got = [repr(dirichlet_double_sum(f, nu, DEFAULT_BIG_M, N)) for f in embedded_eigenforms(nu, N)]
+        assert got == values
+
+
+def _embedded_full_range(nu, N):
+    """CRT tables at every needed index, then sum_j c_j table_j embedded."""
+    indices = tuple((n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1)
+    exps, coords = _eigenform_monomial_coords(nu)
+    tables = [cusp_monomial_coeffs(1, a, b, indices, indices[-1]) for a, b in exps]
+    out = []
+    for c in coords:
+        values = {}
+        for pos, m in enumerate(indices):
+            exact = c[0] * tables[0][pos]
+            for j in range(1, len(exps)):
+                exact = exact + c[j] * tables[j][pos]
+            values[m] = exact.embed()
+        out.append(values)
+    return out
+
+
+def test_embedded_matches_full_range_tables():
+    for nu, N, disc in ((6, 700, 1), (12, 360, 144169), (14, 50, 18209)):
+        forms = embedded_eigenforms(nu, N)
+        oracle = _embedded_full_range(nu, N)
+        assert len(forms) == len(oracle)
+        for f, values in zip(forms, oracle):
+            assert f.disc == disc
+            for m, want in values.items():
+                assert f.a_float(m).hex() == want.hex(), (nu, N, m)
+
+
+def test_hecke_assembly():
+    d = delta(40)
+    at_prime = {2: QuadNum(-24), 3: QuadNum(252), 5: QuadNum(4830), 7: QuadNum(-16744)}
+    at_power = _prime_power_coeffs(at_prime, 12, 39)
+    assert sorted(at_power) == [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
+    for m in range(1, 40):
+        if m in (11, 13, 17, 19, 22, 23, 26, 29, 31, 33, 34, 37, 38, 39):
+            with pytest.raises(InternalCancellationError):
+                _multiplicative_coeff(m, list(at_prime), at_power)  # prime factor not tabulated
+        else:
+            assert _multiplicative_coeff(m, list(at_prime), at_power) == QuadNum(d.coeff(m)), m
 
 
 def test_double_sum_converges_in_n(delta_table_2000):
