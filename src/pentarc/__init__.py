@@ -13,6 +13,7 @@ from .qseries import (
     IntQSeries,
     QSeries24,
     eta_expansion,
+    euler_expansion,
     eta_inverse_expansion,
     eta_product_expansion,
     to_int_series,

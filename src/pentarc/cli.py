@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import get_type_hints
 
 from . import dirichlet as dmod
 from . import forms, hecke, partitions, rademacher, rankincohen, verify
@@ -31,6 +32,7 @@ from .qseries import DEFAULT_PREC
 from .serialize import jsonable
 
 ENV_PREFIX = "PENTARC_"
+FORMATS = ("json", "csv", "text")
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,17 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
+        types = get_type_hints(RunConfig)
         for key in values:
             if key in loaded:
-                values[key] = loaded[key]
+                value, expected = loaded[key], types[key]
+                # bool is an int subclass, but true/false is never a count
+                if isinstance(value, bool) or not isinstance(value, expected):
+                    name = expected.__name__ if isinstance(expected, type) else str(expected)
+                    raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
+                values[key] = value
     env_keys = {
         "prec": int,
         "big_m": int,
@@ -86,6 +96,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     cfg = RunConfig(**values)
     cfg.dps  # parses --float-mode, so a bad value fails before any command runs
+    if cfg.fmt not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg.fmt!r}")
     return cfg
 
 
@@ -133,19 +145,23 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _int_range(text: str) -> range:
+    """An index "n" or a nonempty inclusive range "a..b" (argparse type)."""
+    lo, _, hi = text.partition("..")
+    try:
+        out = range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or a range a..b, got {text!r}") from None
+    if not out:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: the end is below the start")
+    return out
 
 
-def _partition_by_method(n: int, method: str, cfg: RunConfig, traces=None) -> dict:
+def _partition_by_method(n: int, method: str, cfg: RunConfig, table, traces) -> dict:
     if method == "euler":
-        return {"n": n, "method": "euler", "value": Fraction(partitions.partition_table(n).p(n))}
+        return {"n": n, "method": "euler", "value": Fraction(table.p(n))}
     if method.startswith("trace:"):
         nu = int(method.split(":", 1)[1])
-        table = partitions.partition_table(n)
         trace = traces.value(n) if traces is not None else Fraction(0)
         value = partitions.recurrence_rhs(nu, n, trace, table)
         return {"n": n, "method": method, "value": value}
@@ -165,17 +181,20 @@ def _partition_by_method(n: int, method: str, cfg: RunConfig, traces=None) -> di
 
 
 def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
-    ns = _parse_range(args.n)
-    traces = None
+    ns = args.n
+    table = traces = None
+    if args.cross_check or not args.method.startswith("rademacher:"):
+        # one table serves every n of the request
+        table = partitions.partition_table(max(ns))
     if args.method.startswith("trace:"):
         nu = int(args.method.split(":", 1)[1])
         if forms.dim_cusp(2 * nu):
             traces = hecke.trace_series(nu, max(ns))
     results, code = [], 0
     for n in ns:
-        record = _partition_by_method(n, args.method, cfg, traces)
+        record = _partition_by_method(n, args.method, cfg, table, traces)
         if args.cross_check:
-            baseline = Fraction(partitions.partition_table(n).p(n))
+            baseline = Fraction(table.p(n))
             agree = Fraction(record["value"]) == baseline
             record["cross_check"] = {"euler": baseline, "agree": agree}
             if not agree:
@@ -210,7 +229,7 @@ def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
 def cmd_gpoly(args, cfg: RunConfig) -> tuple[dict, int]:
     results = [
         {"nu": args.nu, "n": args.n, "k": k, "value": partitions.recurrence_weight(args.nu, args.n, k)}
-        for k in _parse_range(args.k)
+        for k in args.k
     ]
     return {"command": "gpoly", "results": results}, 0
 
@@ -259,7 +278,7 @@ def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_rademacher(args, cfg: RunConfig) -> tuple[dict, int]:
     results = []
-    for n in _parse_range(args.n):
+    for n in args.n:
         est = rademacher.rademacher_pn(n, cfg.depth_c)
         results.append(
             {
@@ -299,7 +318,7 @@ def _shared_options() -> argparse.ArgumentParser:
         "--float-mode", dest="float_mode", default=S,
         help="binary64 (default) or wide:<dps>, dps >= 15, for mpmath weight evaluation",
     )
-    shared.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default=S)
+    shared.add_argument("--format", dest="fmt", choices=FORMATS, default=S)
     shared.add_argument("--out", default=S, help="write output to a file instead of stdout")
     shared.add_argument("--config", default=S, help="optional JSON config file (flags win)")
     return shared
@@ -319,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help_text, parents=[shared])
 
     p = add("partition", "partition numbers by several methods")
-    p.add_argument("n", help="index or inclusive range a..b")
+    p.add_argument("n", type=_int_range, help="index or inclusive range a..b")
     p.add_argument("--method", default="euler", help="euler | trace:NU | rademacher:C")
     p.add_argument("--cross-check", action="store_true", dest="cross_check")
     p.set_defaults(func=cmd_partition)
@@ -331,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gpoly", "recurrence weight polynomial values")
     p.add_argument("nu", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--k", default="0", help="index or inclusive range a..b")
+    p.add_argument("--k", type=_int_range, default=range(1), help="index or inclusive range a..b")
     p.set_defaults(func=cmd_gpoly)
 
     p = add("trace", "exact trace values 1..N")
@@ -348,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dirichlet)
 
     p = add("rademacher", "Kloosterman-Bessel partial sums for p(n)")
-    p.add_argument("n", help="index or inclusive range a..b")
+    p.add_argument("n", type=_int_range, help="index or inclusive range a..b")
     p.set_defaults(func=cmd_rademacher)
 
     p = add("verify", "run a named verification suite")

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import NotInSpaceError, PrecisionError
 from .exactnum import bernoulli
 from .partitions import sigma
-from .qseries import IntQSeries, eta_expansion, to_int_series
+from .qseries import IntQSeries, euler_expansion
 
 __all__ = [
     "MFSpace",
@@ -41,17 +41,21 @@ def eisenstein(w: int, prec: int) -> IntQSeries:
     if prec < 1:
         raise ValueError("prec must be >= 1")
     factor = -Fraction(2 * w) / bernoulli(w)
-    coeffs = [Fraction(1)] + [factor * sigma(w - 1, n) for n in range(1, prec)]
-    return IntQSeries(0, coeffs)
+    nums = [factor.denominator] + [factor.numerator * sigma(w - 1, n) for n in range(1, prec)]
+    return IntQSeries(0, nums, den=factor.denominator)
 
 
 @lru_cache(maxsize=None)
 def delta(prec: int) -> IntQSeries:
-    """The discriminant form eta^24 = q - 24q^2 + 252q^3 - ..."""
+    """The discriminant form eta^24 = q E(q)^24 = q - 24q^2 + 252q^3 - ...
+
+    E is the pentagonal series ``euler_expansion``; the q^(1/24) of each
+    eta factor multiplies to q.
+    """
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    eta = eta_expansion(24 * prec + 2)
-    return to_int_series(eta.pow(24)).truncate(prec)
+    power = euler_expansion(prec - 1).pow(24)
+    return IntQSeries(1, power.coeffs, den=power.den)
 
 
 def cusp_generator(weight: int, prec: int) -> IntQSeries:
@@ -154,7 +158,10 @@ def space_basis(weight: int, prec: int) -> MFSpace:
     basis = tuple(e4_pows[a] * e6_pows[b] for a, b in exps)
 
     ew = eisenstein(weight, prec)
-    rows = [[(m.coeff(n) - ew.coeff(n)) for n in range(prec)] for m in basis]
+    # m - ew scaled by m.den * ew.den, which leaves the echelon form unchanged
+    rows = [
+        [Fraction(a * ew.den - b * m.den) for a, b in zip(m.coeffs, ew.coeffs)] for m in basis
+    ]
     reduced = _rref(rows)
     if len(reduced) != n_cusp:
         raise PrecisionError("echelonization did not produce the expected cusp basis")

@@ -69,8 +69,8 @@ def hecke_operator(f: IntQSeries, weight: int, m: int) -> IntQSeries:
     out_prec = f.prec // m
     if out_prec < 1:
         raise PrecisionError(f"precision {f.prec} too small for T_{m}")
-    table = [f.coeff(n) for n in range(f.prec)]
-    return IntQSeries(0, hecke_action(table, weight, m, out_prec))
+    table = (0,) * f.offset + f.coeffs
+    return IntQSeries(0, hecke_action(table, weight, m, out_prec), den=f.den)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 from .exactnum import bernoulli, falling_factorial
 
@@ -24,6 +24,7 @@ __all__ = [
     "pentagonal",
     "partition_table",
     "sigma",
+    "bracket_weights",
     "recurrence_weight",
     "recurrence_rhs",
 ]
@@ -92,14 +93,35 @@ def sigma(m: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weight_prefactor(nu: int) -> Fraction:
-    # (2nu-1) * ((2nu-2)_(nu-1))^2 / 2^(2nu-2); the nu = 0 case goes through
-    # the negative-index falling factorial (-2)_(-1) = -1/2.
-    return (
-        (2 * nu - 1)
-        * falling_factorial(2 * nu - 2, nu - 1) ** 2
-        / Fraction(4) ** (nu - 1)
-    )
+def bracket_weights(nu: int) -> tuple[tuple[int, ...], Fraction]:
+    """Integer weights w_0..w_nu and one rational factor for the order-nu bracket.
+
+    The bracket of (1/eta, eta) is
+
+        factor * sum_j w_j (24D)^j (1/eta) * (24D)^(nu-j) (eta),
+
+    with w_j = (-1)^j (2j-1) C(2nu, 2j) and factor = pref(nu) / (2nu)!,
+    where pref(nu) = (2nu-1) ((2nu-2)_(nu-1))^2 / 2^(2nu-2): w_j / (2nu)!
+    is (-1)^j (2j-1) / ((2j)! (2nu-2j)!) over its common denominator.  The
+    nu = 0 case goes through the negative-index falling factorial
+    (-2)_(-1) = -1/2.
+    """
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    weights = tuple((-1) ** j * (2 * j - 1) * comb(2 * nu, 2 * j) for j in range(nu + 1))
+    pref = (2 * nu - 1) * falling_factorial(2 * nu - 2, nu - 1) ** 2 / Fraction(4) ** (nu - 1)
+    return weights, pref / factorial(2 * nu)
+
+
+def _weight_numerator(weights: tuple[int, ...], n: int, k: int) -> int:
+    # sum_j w_j v^j u^(nu-j), by Horner's rule in v
+    u = (6 * k + 1) ** 2
+    v = 24 * n - u
+    acc, u_pow = 0, 1
+    for w in reversed(weights):
+        acc = acc * v + w * u_pow
+        u_pow *= u
+    return acc
 
 
 def recurrence_weight(nu: int, n: int, k: int) -> Fraction:
@@ -111,26 +133,11 @@ def recurrence_weight(nu: int, n: int, k: int) -> Fraction:
                    * u^r * (24n - u)^(nu-r)
 
     At nu = 0 this is identically 1; at nu = 2 it equals
-    216 n^2 - 36 u n + u^2.
+    216 n^2 - 36 u n + u^2.  Summed as an integer numerator over the
+    per-nu denominator of ``bracket_weights``.
     """
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    u = (6 * k + 1) ** 2
-    v = 24 * n - u
-    acc = Fraction(0)
-    for r in range(nu + 1):
-        sign = -1 if (nu + r) % 2 else 1
-        num = sign * (2 * nu - 2 * r - 1) * u**r * v ** (nu - r)
-        acc += Fraction(num, _fact(2 * r) * _fact(2 * nu - 2 * r))
-    return _weight_prefactor(nu) * acc
-
-
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    weights, factor = bracket_weights(nu)
+    return factor * _weight_numerator(weights, n, k)
 
 
 def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> Fraction:
@@ -147,12 +154,13 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
         raise ValueError("recurrence_rhs needs n >= 1")
     if len(ptable) <= n:
         raise ValueError("partition table does not cover n")
-    w0 = recurrence_weight(nu, n, 0)
+    weights, factor = bracket_weights(nu)
+    w0 = _weight_numerator(weights, n, 0)
     if w0 == 0:
         # cannot occur for n >= 1; guard kept so a regression is loud
         raise ArithmeticError(f"vanishing k=0 weight at nu={nu}, n={n}")
     eis = -Fraction(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2) * sigma(2 * nu - 1, n)
-    acc = eis + trace
+    acc = 0
     k = 1
     while True:
         w1, w2 = pentagonal(k), pentagonal(-k)
@@ -160,8 +168,8 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
             break
         sign = 1 if k % 2 else -1
         if w1 <= n:
-            acc += sign * recurrence_weight(nu, n, k) * ptable.p(n - w1)
+            acc += sign * _weight_numerator(weights, n, k) * ptable.p(n - w1)
         if w2 <= n:
-            acc += sign * recurrence_weight(nu, n, -k) * ptable.p(n - w2)
+            acc += sign * _weight_numerator(weights, n, -k) * ptable.p(n - w2)
         k += 1
-    return acc / w0
+    return (eis + trace + factor * acc) / (factor * w0)

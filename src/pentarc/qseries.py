@@ -1,21 +1,37 @@
-"""Truncated formal q-series over exact rationals.
+"""Truncated formal q-series over exact rationals, stored as integers.
 
-Two dense representations share one precision discipline:
+A series stores Python ints ``coeffs`` over one positive denominator
+``den``: the coefficient at grid point ``start + i`` is ``coeffs[i] / den``,
+kept in lowest terms (gcd(den, *coeffs) = 1), so equal series store equal
+data.  Products, inversion and derivatives run as integer kernels; the one
+denominator is multiplied and reduced once per operation, never per
+coefficient.  The accessors ``coeff``/``coeff24`` return ``Fraction``s.
 
-* ``QSeries24`` lives on the 1/24 exponent grid: ``coeffs[i]`` multiplies
-  q^((offset24 + i)/24), and the series is known exactly for every exponent
-  e/24 with e < prec24 (exponents below offset24 are exactly zero).
-* ``IntQSeries`` is the same over integer exponents of q.
+Two grids share this storage and one precision discipline:
 
-Arithmetic never fabricates coefficients: a product is truncated to
-min(a.prec + b.offset, b.prec + a.offset), a sum to min(a.prec, b.prec).
-Everything is immutable, so results are freely shared and cached.
+* ``IntQSeries`` on integer exponents: ``coeffs[i]`` multiplies
+  q^(offset + i).
+* ``QSeries24`` on the 1/24 grid: ``coeffs[i]`` multiplies
+  q^((offset24 + i)/24).
+
+A series is known exactly for every exponent below its precision
+(exponents below the offset are exactly zero).  Arithmetic never fabricates
+coefficients: a product is truncated to min(a.prec + b.offset,
+b.prec + a.offset), a sum to min(a.prec, b.prec).  Everything is immutable,
+so results are freely shared and cached.
+
+Eta never needs the 1/24 grid: eta = q^(1/24) E(q) with E the pentagonal
+series ``euler_expansion``, and 1/eta = q^(-1/24) E(q)^-1, so code that
+tracks the q^(+-1/24) shifts itself (``rankincohen.eta_bracket``,
+``forms.delta``) works on integer exponents.  ``QSeries24`` remains for the
+general Rankin-Cohen bracket and the checks that cross-validate it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalCancellationError, PrecisionError
@@ -23,136 +39,170 @@ from .errors import InternalCancellationError, PrecisionError
 #: default number of integer q-coefficients for CLI-facing verifications
 DEFAULT_PREC = 60
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _as_fracs(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-
-
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], out_len: int) -> list[Fraction]:
-    """Truncated Cauchy product; the sparser operand drives the outer loop."""
-    if sum(1 for x in a if x) > sum(1 for x in b if x):
+def _convolve(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
+    """Truncated Cauchy product of integer lists; the sparser operand drives the outer loop."""
+    if sum(map(bool, a)) > sum(map(bool, b)):
         a, b = b, a
-    out = [_ZERO] * out_len
-    for i, ai in enumerate(a):
-        if i >= out_len:
-            break
-        if not ai:
-            continue
-        jmax = min(len(b), out_len - i)
-        for j in range(jmax):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+    out = [0] * out_len
+    for i, ai in enumerate(a[:out_len]):
+        if ai:
+            for j, bj in enumerate(b[: out_len - i], i):
+                if bj:
+                    out[j] += ai * bj
     return out
 
 
-def _invert_coeffs(a: Sequence[Fraction], out_len: int) -> list[Fraction]:
-    """Coefficients of 1/a by the standard recursive convolution."""
-    lead = a[0]
-    inv_lead = 1 / lead
-    out = [_ZERO] * out_len
-    out[0] = inv_lead
-    nonzero = [(k, ak) for k, ak in enumerate(a) if k and ak]
+def _invert_coeffs(a: Sequence[int], out_len: int) -> tuple[list[int], int]:
+    """Numerators and denominator of 1/a for an integer list with a[0] != 0.
+
+    b_n = a0^(n+1) [q^n](1/a) is an integer: b_0 = 1 and
+    b_n = -sum_{k>=1} a_k a0^(k-1) b_(n-k).  The result is b_n a0^(out_len-1-n)
+    over a0^out_len (sign moved to the numerators), not yet in lowest terms.
+    """
+    a0 = a[0]
+    terms = [(k, ak * a0 ** (k - 1)) for k, ak in enumerate(a[:out_len]) if k and ak]
+    b = [0] * out_len
+    b[0] = 1
     for n in range(1, out_len):
-        acc = _ZERO
-        for k, ak in nonzero:
+        acc = 0
+        for k, w in terms:
             if k > n:
                 break
-            acc += ak * out[n - k]
-        if acc:
-            out[n] = -inv_lead * acc
-    return out
+            acc += w * b[n - k]
+        b[n] = -acc
+    if a0 == 1:
+        return b, 1
+    power = 1
+    for n in range(out_len - 1, -1, -1):
+        b[n] *= power
+        power *= a0
+    if power < 0:
+        return [-c for c in b], -power
+    return b, power
 
 
-class QSeries24:
-    """Truncated series on the q^(1/24) lattice with Fraction coefficients."""
+class _Series:
+    """Integer numerators over one denominator on a grid of exponents.
 
-    __slots__ = ("offset24", "coeffs", "prec24")
+    Subclasses fix the grid (``_step`` points per unit exponent) and name
+    the accessors; the ring operations are shared.
+    """
 
-    def __init__(self, offset24: int, coeffs: Iterable, prec24: int | None = None):
-        self.coeffs = _as_fracs(coeffs)
-        self.offset24 = int(offset24)
-        self.prec24 = self.offset24 + len(self.coeffs) if prec24 is None else int(prec24)
-        if self.prec24 != self.offset24 + len(self.coeffs):
-            raise ValueError("prec24 must equal offset24 + len(coeffs)")
-        if not self.coeffs:
+    __slots__ = ("start", "coeffs", "den")
+    _step = 1
+
+    def __init__(self, start: int, coeffs: Iterable, prec: int | None = None, den: int = 1):
+        """Coefficients ``coeffs[i] / den``; each ``coeffs[i]`` an int or a Fraction."""
+        values = tuple(coeffs)
+        if not values:
             raise ValueError("series must store at least one coefficient")
+        if den < 1:
+            raise ValueError("den must be a positive integer")
+        common = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (common // v.denominator) for v in values]
+        self._set(int(start), nums, common * den)
+        if prec is not None and int(prec) != self.start + len(self.coeffs):
+            raise ValueError("prec must equal offset + len(coeffs)")
 
-    # -- access ------------------------------------------------------------
+    def _set(self, start: int, nums: Sequence[int], den: int) -> None:
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [c // g for c in nums]
+        self.start, self.coeffs, self.den = start, tuple(nums), den
 
-    def coeff24(self, e: int) -> Fraction:
-        """Coefficient of q^(e/24); exact zero below offset24."""
-        if e >= self.prec24:
-            raise PrecisionError(f"exponent {e}/24 beyond precision {self.prec24}/24")
-        if e < self.offset24:
-            return _ZERO
-        return self.coeffs[e - self.offset24]
+    @classmethod
+    def _make(cls, start: int, nums: Sequence[int], den: int = 1):
+        """Build from integer numerators and a positive denominator."""
+        out = object.__new__(cls)
+        out._set(start, nums, den)
+        return out
 
-    def valuation24(self) -> int | None:
+    @property
+    def _end(self) -> int:
+        return self.start + len(self.coeffs)
+
+    def _at(self, e: int) -> Fraction:
+        """Coefficient at grid point e; exact zero below the offset."""
+        if e >= self._end:
+            unit = "" if self._step == 1 else f"/{self._step}"
+            raise PrecisionError(f"exponent {e}{unit} beyond precision {self._end}{unit}")
+        if e < self.start:
+            return Fraction(0)
+        return Fraction(self.coeffs[e - self.start], self.den)
+
+    def _window(self, lo: int, hi: int) -> tuple[int, ...]:
+        """Numerators at grid points lo..hi-1, zero below the offset (hi within precision)."""
+        s = self.start
+        return (0,) * max(min(s, hi) - lo, 0) + self.coeffs[max(lo - s, 0) : max(hi - s, 0)]
+
+    def _valuation(self) -> int | None:
         for i, c in enumerate(self.coeffs):
             if c:
-                return self.offset24 + i
+                return self.start + i
         return None
 
     def is_zero(self) -> bool:
-        return self.valuation24() is None
+        return not any(self.coeffs)
 
-    def agrees_with(self, other: "QSeries24") -> bool:
+    def agrees_with(self, other) -> bool:
         """Termwise equality through the smaller guaranteed precision."""
-        lo = min(self.offset24, other.offset24)
-        hi = min(self.prec24, other.prec24)
-        return all(self.coeff24(e) == other.coeff24(e) for e in range(lo, hi))
+        if type(other) is not type(self):
+            raise TypeError("cannot compare series on different exponent grids")
+        lo = min(self.start, other.start)
+        hi = min(self._end, other._end)
+        return all(
+            x * other.den == y * self.den
+            for x, y in zip(self._window(lo, hi), other._window(lo, hi))
+        )
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, QSeries24):
+        if type(other) is not type(self):
             return NotImplemented
-        off = min(self.offset24, other.offset24)
-        prec = min(self.prec24, other.prec24)
-        if prec <= off:
+        lo = min(self.start, other.start)
+        hi = min(self._end, other._end)
+        if hi <= lo:
             raise PrecisionError("operands have no common known range")
-        return QSeries24(off, [self.coeff24(e) + other.coeff24(e) for e in range(off, prec)])
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        nums = [x * fa + y * fb for x, y in zip(self._window(lo, hi), other._window(lo, hi))]
+        return self._make(lo, nums, den)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return QSeries24(self.offset24, [-c for c in self.coeffs])
+        return self._make(self.start, [-c for c in self.coeffs], self.den)
 
-    def scale(self, r) -> "QSeries24":
+    def scale(self, r):
         r = Fraction(r)
-        return QSeries24(self.offset24, [r * c for c in self.coeffs])
+        return self._make(self.start, [c * r.numerator for c in self.coeffs], self.den * r.denominator)
 
-    def __mul__(self, other):
+    def _mul(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, QSeries24):
+        if type(other) is not type(self):
             return NotImplemented
         out_len = min(len(self.coeffs), len(other.coeffs))
-        out = _convolve(self.coeffs, other.coeffs, out_len)
-        return QSeries24(self.offset24 + other.offset24, out)
+        nums = _convolve(self.coeffs, other.coeffs, out_len)
+        return self._make(self.start + other.start, nums, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def invert(self) -> "QSeries24":
-        """Multiplicative inverse up to precision; offset negates."""
+    def _invert(self):
+        """Multiplicative inverse up to precision; the offset negates."""
         if not self.coeffs[0]:
             raise ZeroDivisionError("leading coefficient is zero")
-        out = _invert_coeffs(self.coeffs, len(self.coeffs))
-        return QSeries24(-self.offset24, out)
+        nums, den = _invert_coeffs(self.coeffs, len(self.coeffs))
+        if self.den != 1:
+            nums = [self.den * c for c in nums]
+        return self._make(-self.start, nums, den)
 
-    def deriv(self) -> "QSeries24":
-        """The operator D = q d/dq: multiply the e/24 coefficient by e/24."""
-        return QSeries24(
-            self.offset24,
-            [c * Fraction(self.offset24 + i, 24) for i, c in enumerate(self.coeffs)],
-        )
-
-    def pow(self, n: int) -> "QSeries24":
+    def _pow(self, n: int):
         if n < 1:
             raise ValueError("pow expects n >= 1")
         out = self
@@ -161,98 +211,48 @@ class QSeries24:
             if bit == "1":
                 out = out * self
         return out
+
+    def deriv(self):
+        """The operator D = q d/dq: multiply the coefficient at exponent x by x."""
+        nums = [c * (self.start + i) for i, c in enumerate(self.coeffs)]
+        return self._make(self.start, nums, self.den * self._step)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        return f"QSeries24(offset24={self.offset24}, prec24={self.prec24}, [{head}, ...])"
+        head = ", ".join(str(Fraction(c, self.den)) for c in self.coeffs[:6])
+        return f"{type(self).__name__}(start={self.start}, end={self._end}, [{head}, ...])"
 
 
-class IntQSeries:
-    """Truncated series over integer exponents of q with Fraction coefficients."""
+class QSeries24(_Series):
+    """Truncated series on the q^(1/24) lattice: coeffs[i]/den multiplies q^((offset24 + i)/24)."""
 
-    __slots__ = ("offset", "coeffs", "prec")
+    __slots__ = ()
+    _step = 24
 
-    def __init__(self, offset: int, coeffs: Iterable, prec: int | None = None):
-        self.coeffs = _as_fracs(coeffs)
-        self.offset = int(offset)
-        self.prec = self.offset + len(self.coeffs) if prec is None else int(prec)
-        if self.prec != self.offset + len(self.coeffs):
-            raise ValueError("prec must equal offset + len(coeffs)")
-        if not self.coeffs:
-            raise ValueError("series must store at least one coefficient")
+    offset24 = property(lambda self: self.start, doc="first stored exponent, in 1/24 units")
+    prec24 = property(lambda self: self._end, doc="known below this exponent, in 1/24 units")
+    coeff24 = _Series._at
+    valuation24 = _Series._valuation
 
-    def coeff(self, n: int) -> Fraction:
-        if n >= self.prec:
-            raise PrecisionError(f"exponent {n} beyond precision {self.prec}")
-        if n < self.offset:
-            return _ZERO
-        return self.coeffs[n - self.offset]
+    # defined on each class, not inherited: perfbench/layers.py wraps them per class
+    __mul__ = __rmul__ = _Series._mul
+    invert = _Series._invert
+    pow = _Series._pow
 
-    def valuation(self) -> int | None:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return self.offset + i
-        return None
 
-    def is_zero(self) -> bool:
-        return self.valuation() is None
+class IntQSeries(_Series):
+    """Truncated series over integer exponents: coeffs[i]/den multiplies q^(offset + i)."""
 
-    def agrees_with(self, other: "IntQSeries") -> bool:
-        lo = min(self.offset, other.offset)
-        hi = min(self.prec, other.prec)
-        return all(self.coeff(n) == other.coeff(n) for n in range(lo, hi))
+    __slots__ = ()
 
-    def __add__(self, other):
-        if not isinstance(other, IntQSeries):
-            return NotImplemented
-        off = min(self.offset, other.offset)
-        prec = min(self.prec, other.prec)
-        if prec <= off:
-            raise PrecisionError("operands have no common known range")
-        return IntQSeries(off, [self.coeff(n) + other.coeff(n) for n in range(off, prec)])
+    offset = property(lambda self: self.start, doc="first stored exponent")
+    prec = property(lambda self: self._end, doc="known below this exponent")
+    coeff = _Series._at
+    valuation = _Series._valuation
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return IntQSeries(self.offset, [-c for c in self.coeffs])
-
-    def scale(self, r) -> "IntQSeries":
-        r = Fraction(r)
-        return IntQSeries(self.offset, [r * c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, IntQSeries):
-            return NotImplemented
-        out_len = min(len(self.coeffs), len(other.coeffs))
-        out = _convolve(self.coeffs, other.coeffs, out_len)
-        return IntQSeries(self.offset + other.offset, out)
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "IntQSeries":
-        if not self.coeffs[0]:
-            raise ZeroDivisionError("leading coefficient is zero")
-        out = _invert_coeffs(self.coeffs, len(self.coeffs))
-        return IntQSeries(-self.offset, out)
-
-    def deriv(self) -> "IntQSeries":
-        """D = q d/dq on integer exponents."""
-        return IntQSeries(
-            self.offset, [c * (self.offset + i) for i, c in enumerate(self.coeffs)]
-        )
-
-    def pow(self, n: int) -> "IntQSeries":
-        if n < 1:
-            raise ValueError("pow expects n >= 1")
-        out = self
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+    # defined on each class, not inherited: perfbench/layers.py wraps them per class
+    __mul__ = __rmul__ = _Series._mul
+    invert = _Series._invert
+    pow = _Series._pow
 
     def truncate(self, prec: int) -> "IntQSeries":
         """Restrict to exponents < prec (prec must not exceed what is known)."""
@@ -260,21 +260,17 @@ class IntQSeries:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
         if prec <= self.offset:
             raise ValueError("truncation would leave no stored coefficients")
-        return IntQSeries(self.offset, self.coeffs[: prec - self.offset])
+        return self._make(self.offset, self.coeffs[: prec - self.offset], self.den)
 
     def to_qseries24(self) -> QSeries24:
-        """Embed on the 1/24 grid (exponents multiplied by 24)."""
-        out = [_ZERO] * (24 * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[24 * i] = c
-        # exponents strictly between integer points are exact zeros, and the
-        # series is known through 24*(prec-1) + 23
-        out.extend([_ZERO] * 23)
-        return QSeries24(24 * self.offset, out)
+        """Embed on the 1/24 grid (exponents multiplied by 24).
 
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        return f"IntQSeries(offset={self.offset}, prec={self.prec}, [{head}, ...])"
+        Exponents strictly between integer points are exact zeros, and the
+        series is known through 24*(prec-1) + 23.
+        """
+        nums = [0] * (24 * len(self.coeffs))
+        nums[::24] = self.coeffs
+        return QSeries24._make(24 * self.offset, nums, self.den)
 
 
 def to_int_series(s: QSeries24) -> IntQSeries:
@@ -292,34 +288,42 @@ def to_int_series(s: QSeries24) -> IntQSeries:
     prec = -((-s.prec24) // 24)
     if prec <= off:
         raise PrecisionError("no integer exponents inside known range")
-    coeffs = []
-    for n in range(off, prec):
-        e = 24 * n
-        coeffs.append(s.coeffs[e - s.offset24] if e >= s.offset24 else _ZERO)
-    return IntQSeries(off, coeffs)
+    return IntQSeries._make(off, s.coeffs[24 * off - s.offset24 :: 24], s.den)
+
+
+@lru_cache(maxsize=None)
+def euler_expansion(prec: int) -> IntQSeries:
+    """Euler's function prod_{n>=1} (1 - q^n) = sum over k in Z of (-1)^k q^omega(k).
+
+    omega(k) = (3k^2 + k)/2 are the generalized pentagonal numbers; exact
+    through q^(prec-1).  eta = q^(1/24) times this series.
+    """
+    if prec < 1:
+        raise ValueError("prec must be >= 1")
+    nums = [0] * prec
+    k = 0
+    while (3 * k * k - k) // 2 < prec:  # omega(-k), the smaller of the pair
+        for j in (k, -k) if k else (0,):
+            e = (3 * j * j + j) // 2
+            if e < prec:
+                nums[e] = -1 if j % 2 else 1
+        k += 1
+    return IntQSeries._make(0, nums)
 
 
 @lru_cache(maxsize=None)
 def eta_expansion(prec24: int) -> QSeries24:
     """Dedekind eta: sum over k in Z of (-1)^k q^((6k+1)^2 / 24).
 
-    Stored from its leading exponent 1/24.
+    Stored from its leading exponent 1/24; (6k+1)^2 = 24 omega(k) + 1 puts
+    the pentagonal series on the 1/24 grid.
     """
     if prec24 <= 1:
         raise ValueError("prec24 must exceed the leading exponent 1")
-    coeffs = [_ZERO] * (prec24 - 1)
-    k = 0
-    while True:
-        hit = False
-        for kk in ((k, -k) if k else (0,)):
-            e = (6 * kk + 1) ** 2
-            if e < prec24:
-                coeffs[e - 1] = Fraction(-1 if kk % 2 else 1)
-                hit = True
-        if not hit:
-            break
-        k += 1
-    return QSeries24(1, coeffs)
+    euler = euler_expansion(-(-(prec24 - 1) // 24))  # every n with 24n + 1 < prec24
+    nums = [0] * (prec24 - 1)
+    nums[::24] = euler.coeffs
+    return QSeries24._make(1, nums)
 
 
 @lru_cache(maxsize=None)
@@ -332,14 +336,14 @@ def eta_product_expansion(prec24: int) -> QSeries24:
     if prec24 <= 1:
         raise ValueError("prec24 must exceed the leading exponent 1")
     n_terms = prec24 // 24 + 1
-    acc = QSeries24(1, [_ONE] + [_ZERO] * (prec24 - 2))
+    length = prec24 - 1
+    acc = QSeries24._make(1, [1] + [0] * (length - 1))
     for n in range(1, n_terms + 1):
-        length = prec24 - 1
-        factor = [_ZERO] * length
-        factor[0] = _ONE
+        factor = [0] * length
+        factor[0] = 1
         if 24 * n < length:
-            factor[24 * n] = Fraction(-1)
-        acc = acc * QSeries24(0, factor)
+            factor[24 * n] = -1
+        acc = acc * QSeries24._make(0, factor)
     return acc
 
 

@@ -5,11 +5,18 @@
     pref(nu) * sum_{r+s=nu} (-1)^r (2r-1) / ((2r)! (2s)!)
                * (24 D)^r (1/eta) * (24 D)^s (eta),
 
-with pref(nu) = (2nu-1) ((2nu-2)_(nu-1))^2 / 2^(2nu-2).  The 24-scaled
-derivative keeps every intermediate series integral, and the result lives on
-integer exponents (enforced by the down-conversion).  The same form equals
-24^nu times the general Rankin-Cohen bracket of (1/eta, eta) at weights
-(-1/2, 1/2), which ``rankin_cohen`` implements with exact Gamma-ratio weights.
+with pref(nu) = (2nu-1) ((2nu-2)_(nu-1))^2 / 2^(2nu-2).  It works on the
+integer exponent grid with an explicit 1/24 shift: eta = q^(1/24) E(q) and
+1/eta = q^(-1/24) P(q), where E is the pentagonal series and P = E^-1 comes
+from the integer inversion.  On these shifted grids 24 D multiplies the
+coefficient at q^n by the integer 24n + 1 (eta) or 24n - 1 (1/eta), and
+every product's shifts add to zero, so the terms are integer series.  The
+weights are integers over the common denominator (2nu)!
+(``partitions.bracket_weights``); the weighted sum is accumulated in
+integers and divided once.  The same form equals 24^nu times the general
+Rankin-Cohen bracket of (1/eta, eta) at weights (-1/2, 1/2), which
+``rankin_cohen`` implements on the 1/24 grid with exact Gamma-ratio
+weights.
 
 ``eta_bracket_from_partitions`` rebuilds the identical expansion from
 partition numbers alone: the q^n coefficient is
@@ -25,10 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import GammaPoleError
+from .errors import GammaPoleError, InternalCancellationError
 from .exactnum import falling_factorial
-from .partitions import partition_table, pentagonal, recurrence_weight
-from .qseries import IntQSeries, QSeries24, eta_expansion, eta_inverse_expansion, to_int_series
+from .partitions import bracket_weights, partition_table, pentagonal, recurrence_weight
+from .qseries import IntQSeries, QSeries24, euler_expansion
 
 __all__ = [
     "eta_bracket",
@@ -38,18 +45,18 @@ __all__ = [
 ]
 
 
-def _d24(s: QSeries24) -> QSeries24:
-    # 24 * q d/dq: multiply the e/24 coefficient by the integer e
-    return QSeries24(s.offset24, [c * (s.offset24 + i) for i, c in enumerate(s.coeffs)])
+def _d24_chain(base: IntQSeries, shift24: int, order: int) -> list[IntQSeries]:
+    """(24D)^j of q^(shift24/24) * base, without that factor, for j = 0..order.
 
-
-@lru_cache(maxsize=None)
-def _bracket_prefactor(nu: int) -> Fraction:
-    return (
-        (2 * nu - 1)
-        * falling_factorial(2 * nu - 2, nu - 1) ** 2
-        / Fraction(4) ** (nu - 1)
-    )
+    On the shifted grid 24D multiplies the coefficient at q^(n + shift24/24)
+    by the integer 24n + shift24.
+    """
+    factors = [24 * (base.offset + i) + shift24 for i in range(len(base.coeffs))]
+    chain = [base]
+    for _ in range(order):
+        last = chain[-1]
+        chain.append(IntQSeries(last.offset, [c * f for c, f in zip(last.coeffs, factors)], den=last.den))
+    return chain
 
 
 @lru_cache(maxsize=None)
@@ -57,27 +64,25 @@ def eta_bracket(nu: int, prec: int) -> IntQSeries:
     """The order-nu bracket of (1/eta, eta) as an integer-exponent series.
 
     Constant term C(2nu-2, nu-2) for nu >= 2; equals 1 at nu = 0 and 0 at
-    nu = 1.  All fractional-exponent coefficients must cancel; failure
-    raises InternalCancellationError.
+    nu = 1.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    grid = 24 * prec + 2
-    inv_chain = [eta_inverse_expansion(grid)]
-    eta_chain = [eta_expansion(grid)]
-    for _ in range(nu):
-        inv_chain.append(_d24(inv_chain[-1]))
-        eta_chain.append(_d24(eta_chain[-1]))
+    # eta = q^(1/24) E and 1/eta = q^(-1/24) E^-1, with prec coefficients each
+    euler = euler_expansion(prec)
+    eta_shift24, inv_shift24 = 1, -1
+    if eta_shift24 + inv_shift24:
+        raise InternalCancellationError("bracket terms would not lie on integer exponents")
+    inv_chain = _d24_chain(euler.invert(), inv_shift24, nu)
+    eta_chain = _d24_chain(euler, eta_shift24, nu)
+    weights, factor = bracket_weights(nu)
     acc = None
-    for r in range(nu + 1):
-        s = nu - r
-        weight = Fraction((-1 if r % 2 else 1) * (2 * r - 1), factorial(2 * r) * factorial(2 * s))
-        term = (inv_chain[r] * eta_chain[s]).scale(weight)
+    for r, w in enumerate(weights):
+        term = (inv_chain[r] * eta_chain[nu - r]).scale(w)
         acc = term if acc is None else acc + term
-    acc = acc.scale(_bracket_prefactor(nu))
-    return to_int_series(acc).truncate(prec)
+    return acc.scale(factor)
 
 
 def eta_bracket_from_partitions(nu: int, prec: int) -> IntQSeries:

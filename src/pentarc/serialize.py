@@ -40,11 +40,17 @@ def piscalar_dict(x: PiScalar) -> dict:
     return {"coeff": rat_str(x.coeff), "halfPiPow": x.half_pi_pow}
 
 
+def _coeff_strs(s: IntQSeries | QSeries24) -> list[str]:
+    if s.den == 1:
+        return [str(c) for c in s.coeffs]
+    return [rat_str(Fraction(c, s.den)) for c in s.coeffs]
+
+
 def qseries_dict(s: QSeries24) -> dict:
     return {
         "offset24": s.offset24,
         "prec24": s.prec24,
-        "coeffs": [rat_str(c) for c in s.coeffs],
+        "coeffs": _coeff_strs(s),
     }
 
 
@@ -52,7 +58,7 @@ def int_series_dict(s: IntQSeries) -> dict:
     return {
         "offset": s.offset,
         "prec": s.prec,
-        "coeffs": [rat_str(c) for c in s.coeffs],
+        "coeffs": _coeff_strs(s),
     }
 
 

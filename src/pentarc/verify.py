@@ -33,15 +33,7 @@ def check_euler() -> tuple[bool, str]:
     """Recurrence table vs generating-function inverse, 200 coefficients."""
     n = 200
     table = partitions.partition_table(n)
-    pent = [Fraction(0)] * (n + 1)
-    k = 0
-    while partitions.pentagonal(k) <= n or partitions.pentagonal(-k) <= n:
-        for kk in ((k, -k) if k else (0,)):
-            w = partitions.pentagonal(kk)
-            if w <= n:
-                pent[w] = Fraction(-1 if kk % 2 else 1)
-        k += 1
-    series = qseries.IntQSeries(0, pent).invert()
+    series = qseries.euler_expansion(n + 1).invert()
     ok = all(series.coeff(i) == table.p(i) for i in range(n + 1))
     return ok, f"p(n) matches series inverse through n={n}"
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pentarc import dirichlet as dmod
+from pentarc import partitions
 from pentarc.cli import main
 
 
@@ -52,6 +53,51 @@ def test_pnu_reports(capsys):
     code, data = run_json(capsys, "--prec", "8", "pnu", "1")
     assert code == 0
     assert all(c == "0" for c in data["results"]["series"]["coeffs"])
+
+
+def test_pnu_12_keeps_exact_values_as_strings(capsys):
+    code, data = run_json(capsys, "--prec", "30", "pnu", "12")
+    assert code == 0
+    res = data["results"]
+    assert res["eisenstein_coefficient"] == "646646"
+    coeffs = res["series"]["coeffs"]
+    assert len(coeffs) == 30 and all(isinstance(c, str) for c in coeffs)
+    assert coeffs[0] == "646646"
+
+
+def test_partition_builds_one_table(capsys):
+    partitions.partition_table.cache_clear()
+    code, data = run_json(capsys, "partition", "1..50", "--cross-check")
+    assert code == 0 and len(data["results"]) == 50
+    assert partitions.partition_table.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "argv, arg",
+    [(["partition", "5..1"], "argument n"), (["rademacher", "3..2"], "argument n"),
+     (["gpoly", "2", "1", "--k", "1..0"], "argument --k"), (["partition", "1..x"], "argument n")],
+)
+def test_empty_or_malformed_range_exits_2(capsys, argv, arg):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert arg in captured.err
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [({"big_n": "60"}, "'big_n'"), ({"prec": True}, "'prec'"), ({"depth_c": 2.5}, "'depth_c'"),
+     ({"fmt": "xml"}, "format"), ([1, 2], "JSON object")],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, content, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code = main(["--config", str(cfg), "dirichlet", "6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "bad configuration" in captured.err and named in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_gpoly_values(capsys):

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from pentarc.forms import dim_cusp
 from pentarc.hecke import trace_series
+from pentarc.exactnum import falling_factorial
 from pentarc.partitions import (
+    bracket_weights,
     partition_table,
     pentagonal,
     recurrence_rhs,
@@ -62,6 +65,35 @@ def test_recurrence_weight_closed_forms():
     for n in range(4):
         for k in range(-3, 4):
             assert recurrence_weight(0, n, k) == 1
+
+
+def _weight_by_definition(nu, n, k):
+    # the documented sum, one Fraction term per r
+    u = (6 * k + 1) ** 2
+    pref = (2 * nu - 1) * falling_factorial(2 * nu - 2, nu - 1) ** 2 / F(4) ** (nu - 1)
+    return pref * sum(
+        F(
+            (-1) ** (nu + r) * (2 * nu - 2 * r - 1) * u**r * (24 * n - u) ** (nu - r),
+            factorial(2 * r) * factorial(2 * nu - 2 * r),
+        )
+        for r in range(nu + 1)
+    )
+
+
+def test_recurrence_weight_matches_definition():
+    for nu in range(15):
+        for n in (0, 1, 2, 17, 240):
+            for k in (-9, -1, 0, 1, 4):
+                assert recurrence_weight(nu, n, k) == _weight_by_definition(nu, n, k), (nu, n, k)
+
+
+def test_bracket_weights_share_the_prefactor():
+    # nu = 0 and nu = 1 give the brackets 1 and 0 from the same formula
+    assert bracket_weights(0) == ((-1,), F(-1))
+    weights, factor = bracket_weights(1)
+    assert weights == (-1, -1) and factor == F(1, 2)
+    with pytest.raises(ValueError):
+        bracket_weights(-1)
 
 
 def test_recurrence_weight_k_dependence():

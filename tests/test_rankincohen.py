@@ -74,6 +74,17 @@ def test_eta_bracket_matches_scaled_general_bracket():
         assert scaled.agrees_with(eta_bracket(nu, 14)), nu
 
 
+@pytest.mark.parametrize("nu", [6, 12])
+def test_eta_bracket_matches_scaled_general_bracket_at_prec_40(nu):
+    """The integer-grid bracket against the 1/24-grid general bracket."""
+    grid = 24 * 40 + 2
+    rc = rankin_cohen(eta_inverse_expansion(grid), F(-1, 2), eta_expansion(grid), F(1, 2), nu)
+    scaled = to_int_series(rc.scale(F(24) ** nu)).truncate(40)
+    bracket = eta_bracket(nu, 40)
+    assert bracket.prec == scaled.prec == 40
+    assert scaled.agrees_with(bracket)
+
+
 def test_rankin_cohen_pole_guard():
     f = eisenstein(4, 8).to_qseries24()
     with pytest.raises(GammaPoleError):
