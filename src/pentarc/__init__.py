@@ -7,6 +7,7 @@ quadratic Dirichlet series that estimate Petersson norms, and evaluates p(n)
 through a convergent Kloosterman-Bessel series.
 """
 
+from .arith import kronecker_symbol
 from .exactnum import PiScalar, QuadNum, Rat, bernoulli, falling_factorial, gamma_exact, rising_factorial
 from .qseries import (
     DEFAULT_PREC,
@@ -43,7 +44,6 @@ from .dirichlet import (
     dirichlet_weight_float,
     embedded_eigenforms,
     kronecker12,
-    kronecker_symbol,
     petersson_norm_estimate,
 )
 from .rademacher import Root24, bessel_i32, eta_multiplier, kloosterman, rademacher_pn

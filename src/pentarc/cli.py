@@ -83,22 +83,36 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         "big_m": int,
         "big_n": int,
         "depth_c": int,
-        "float_mode": str,
-        "fmt": str,
+        "float_mode": _check_float_mode,
+        "fmt": _check_fmt,
     }
     for key, conv in env_keys.items():
-        raw = os.environ.get(ENV_PREFIX + key.upper())
+        name = ENV_PREFIX + key.upper()
+        raw = os.environ.get(name)
         if raw is not None:
-            values[key] = conv(raw)
+            try:
+                values[key] = conv(raw)
+            except ValueError as exc:
+                raise ValueError(f"environment variable {name}: {exc}") from None
     for key in ("prec", "big_m", "big_n", "depth_c", "float_mode", "fmt", "out"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     cfg = RunConfig(**values)
     cfg.dps  # parses --float-mode, so a bad value fails before any command runs
-    if cfg.fmt not in FORMATS:
-        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg.fmt!r}")
+    _check_fmt(cfg.fmt)
     return cfg
+
+
+def _check_float_mode(mode: str) -> str:
+    _parse_float_mode(mode)
+    return mode
+
+
+def _check_fmt(fmt: str) -> str:
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    return fmt
 
 
 def _flat(obj, prefix=""):
@@ -139,8 +153,11 @@ def _render(payload: dict, fmt: str) -> str:
 def _emit(payload: dict, cfg: RunConfig) -> None:
     text = _render(payload, cfg.fmt)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -399,7 +416,11 @@ def main(argv=None) -> int:
         return 2
     payload["config"] = asdict(cfg)
     payload["timings"] = {"seconds": time.perf_counter() - start}
-    _emit(payload, cfg)
+    try:
+        _emit(payload, cfg)
+    except ValueError as exc:
+        print(f"pentarc: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -39,6 +39,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from ._coeffs import _MAX_LEN, cusp_monomial_coeffs
+from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
 from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial
 from .forms import delta, dim_cusp, eisenstein
@@ -79,39 +80,6 @@ def kronecker12(n: int) -> int:
     if n < 1:
         raise ValueError("kronecker12 needs n >= 1")
     return _KRON12[n % 12]
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """General Kronecker symbol (a|n) for any integers."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    # factor out 2s from n
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos:
-        if a % 2 == 0:
-            return 0
-        if twos % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol (a|n) for odd n > 0 by quadratic reciprocity
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
 
 
 def dirichlet_weight(nu: int, j: int, m: int) -> PiScalar:

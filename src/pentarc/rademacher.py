@@ -5,13 +5,18 @@ coefficients admit an exact infinite-series expression.  With cusp width
 t = 24 and cusp parameter kappa = 23, the coefficient at series index
 N = 24n - 24 (the q^((24n-1)/24) term) is
 
-    a(N) = -i^(5/2) * (2 pi / 24) * (24n-1)^(-3/4)
+    a(N) = -i^(5/2) * 2 pi * (24n-1)^(-3/4)
            * sum_{c>=1} K_c(-24, N) / c * I_{3/2}(pi sqrt(24n-1) / (6c)),
 
-where K_c is the multiplier-weighted exponential sum over matrices with
-lower-left entry c enumerated below, and I_{3/2} has the elementary closed
-form sqrt(2/(pi x)) (cosh x - sinh x / x).  Partial sums over c <= C round
-to p(n); the residual imaginary part is reported, never discarded.
+where K_c is the multiplier-weighted exponential sum over one matrix per
+double coset Gamma_inf\\SL2(Z)/Gamma_inf with lower-left entry c: d in
+[0, c) coprime to c and a = d^(-1) mod c, so phi(c) terms.  Translating a
+or d by c multiplies the multiplier by exp(pi i/12) and moves the phase by
+(m + 24)/24 or (n + 24)/24 of a turn, so for m, n divisible by 24 every
+representative of a coset carries the same summand.  I_{3/2} has the
+elementary closed form sqrt(2/(pi x)) (cosh x - sinh x / x).  Partial sums
+over c <= C round to p(n); the residual imaginary part is reported, never
+discarded.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .dirichlet import kronecker_symbol
+from .arith import kronecker_symbol
 
 __all__ = [
     "CUSP_WIDTH",
@@ -111,25 +116,20 @@ class KloostermanSum:
 
 @lru_cache(maxsize=None)
 def _pair_data(c: int):
-    """Per-c matrix data: signs, multiplier exponents, and (a, d) columns.
+    """Per-c coset data: signs, multiplier exponents, and (a, d) columns.
 
-    Enumerates d in [0, 24c) coprime to c and the 24 values a = a0 + t*c
-    with a0 = d^(-1) mod c; identical, pair for pair, to the literal double
-    loop over (a, d) in [0, 24c)^2 with ad = 1 (mod c).
+    One row per coset: d in [0, c) coprime to c and a = d^(-1) mod c.
     """
     signs, es, aa, dd = [], [], [], []
-    for d in range(24 * c):
+    for d in range(c):
         if gcd(d, c) != 1:
             continue
-        a0 = pow(d % c, -1, c) if c > 1 else 0
-        for t in range(24):
-            a = a0 + t * c
-            b = (a * d - 1) // c
-            eps = eta_multiplier(a, b, c, d)
-            signs.append(eps.sign)
-            es.append(eps.e)
-            aa.append(a)
-            dd.append(d)
+        a = pow(d, -1, c)
+        eps = eta_multiplier(a, (a * d - 1) // c, c, d)
+        signs.append(eps.sign)
+        es.append(eps.e)
+        aa.append(a)
+        dd.append(d)
     return (
         np.array(signs, dtype=np.int64),
         np.array(es, dtype=np.int64),
@@ -138,14 +138,8 @@ def _pair_data(c: int):
     )
 
 
-@lru_cache(maxsize=None)
-def _exp_table(c: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(24 * c) / (24.0 * c)
-    return np.exp(1j * angles)
-
-
 def _phase_numerators(c: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, r) with each matrix contributing sign * exp(2 pi i r / (24c)).
+    """(signs, r) with each coset contributing sign * exp(2 pi i r / (24c)).
 
     The weight 1/conj(eps) equals eps itself (|eps| = 1), so the phase
     numerator is e*c + (m + kappa) a + (n + kappa) d  (mod 24c).
@@ -155,26 +149,18 @@ def _phase_numerators(c: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, r
 
 
-def _phase_numerators_literal(c: int, m: int, n: int) -> list[tuple[int, int]]:
-    """Reference enumeration: the literal double loop over (a, d)."""
-    out = []
-    for a in range(24 * c):
-        for d in range(24 * c):
-            if (a * d - 1) % c:
-                continue
-            b = (a * d - 1) // c
-            eps = eta_multiplier(a, b, c, d)
-            r = (eps.e * c + (m + CUSP_PARAMETER) * a + (n + CUSP_PARAMETER) * d) % (24 * c)
-            out.append((eps.sign, r))
-    return out
-
-
 def kloosterman(c: int, m: int, n: int) -> KloostermanSum:
-    """Multiplier-weighted Kloosterman sum at lower-left entry c."""
+    """Multiplier-weighted Kloosterman sum at lower-left entry c.
+
+    The series has coefficients only at indices divisible by 24; other
+    (m, n) are rejected, since their summands depend on the representative.
+    """
     if c < 1:
         raise ValueError("c must be >= 1")
+    if m % CUSP_WIDTH or n % CUSP_WIDTH:
+        raise ValueError("m and n must be divisible by 24")
     signs, r = _phase_numerators(c, m, n)
-    value = complex(np.sum(signs * _exp_table(c)[r]))
+    value = complex(np.sum(signs * np.exp(1j * (2.0 * np.pi * r / (24.0 * c)))))
     return KloostermanSum(c, value, len(signs))
 
 
@@ -226,10 +212,9 @@ def rademacher_pn(n: int, depth: int = 50) -> RademacherEstimate:
         raise ValueError("depth must be >= 1")
     idx = 24 * n - 24
     x24 = 24 * n - 1
-    # The (a, d) range [0, 24c)^2 lists every translation coset exactly
-    # CUSP_WIDTH times (the 24 lifts of a carry identical summands --
-    # checked in the tests), hence the second 1/CUSP_WIDTH.
-    pref = -(1j ** 2.5) * (2.0 * math.pi / CUSP_WIDTH**2) * x24 ** -0.75
+    # K_c sums one representative per coset (phi(c) terms), so the
+    # prefactor is the classical 2 pi.
+    pref = -(1j ** 2.5) * (2.0 * math.pi) * x24 ** -0.75
     acc = 0j
     for c in range(1, depth + 1):
         kc = kloosterman(c, -24, idx)

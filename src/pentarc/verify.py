@@ -14,6 +14,7 @@ from math import comb, gcd
 
 from . import dirichlet as dmod
 from . import forms, hecke, partitions, qseries, rademacher, rankincohen
+from .arith import kronecker_symbol
 from .exactnum import QuadNum
 
 #: the six exact cusp multipliers for the one-dimensional weights
@@ -158,7 +159,7 @@ def check_projection_reconstruction() -> tuple[bool, str]:
 
 def check_kronecker() -> tuple[bool, str]:
     for n in range(1, 10001):
-        expected = dmod.kronecker_symbol(12, n)
+        expected = kronecker_symbol(12, n)
         if dmod.kronecker12(n) != expected:
             return False, f"disagrees with general symbol at {n}"
         if dmod.kronecker12(n) != dmod.kronecker12(n + 12 * 7001):

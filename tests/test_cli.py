@@ -223,6 +223,25 @@ def test_out_file_and_formats(tmp_path, capsys):
     assert "results[0].value: 3" in out
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["--out", str(target), "partition", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not target.exists()
+    assert f"pentarc: cannot write --out {target}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name, raw", [("PENTARC_PREC", "abc"), ("PENTARC_FMT", "xml")])
+def test_bad_environment_value_names_the_variable(capsys, monkeypatch, name, raw):
+    monkeypatch.setenv(name, raw)
+    code = main(["partition", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "bad configuration" in captured.err and name in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_env_and_config_precedence(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depth_c": 5, "prec": 12}))

@@ -1,15 +1,19 @@
+import ast
 import cmath
 import math
 import random
+from collections import Counter
+from functools import cache
 from math import gcd
 
 import pytest
 
+from pentarc import rademacher
 from pentarc.partitions import partition_table
 from pentarc.rademacher import (
+    CUSP_PARAMETER,
     Root24,
     _phase_numerators,
-    _phase_numerators_literal,
     bessel_i32,
     eta_multiplier,
     kloosterman,
@@ -124,37 +128,66 @@ def test_multiplier_cocycle():
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
-def test_kloosterman_term_counts():
-    assert kloosterman(1, -24, 0).term_count == 576
-    k2 = kloosterman(2, -24, 0)
-    # direct oracle: pairs in [0,48)^2 with a d odd
-    count = sum(
-        1 for a in range(48) for d in range(48) if (a * d) % 2 == 1
-    )
-    assert k2.term_count == count == 576
+@cache
+def _phase_numerators_literal(c, m, n):
+    """Reference enumeration: the literal double loop over (a, d) in
+    [0, 24c)^2 with ad = 1 (mod c), every coset lifted 24 x 24 times."""
+    out = []
+    for a in range(24 * c):
+        for d in range(24 * c):
+            if (a * d - 1) % c:
+                continue
+            b = (a * d - 1) // c
+            eps = eta_multiplier(a, b, c, d)
+            r = (eps.e * c + (m + CUSP_PARAMETER) * a + (n + CUSP_PARAMETER) * d) % (24 * c)
+            out.append((eps.sign, r))
+    return out
+
+
+LIFTS = 24 * 24
+ENUM_CS = range(1, 13)
+ENUM_IDXS = (0, 24, 72, 24 * 235)
+
+
+def _exponents(c, rows):
+    """Summand sign * exp(2 pi i r / (24c)) as one exponent k mod 24c; for
+    even c, lifts of one coset can differ as (sign, r) vs (-sign, r + 12c)."""
+    return Counter(r if s > 0 else (r + 12 * c) % (24 * c) for s, r in rows)
+
+
+def test_coset_rows_are_the_literal_pairs_once_per_lift():
+    """The literal summand multiset is the coset rows', each 576 times."""
+    for c in ENUM_CS:
+        for idx in ENUM_IDXS:
+            signs, rs = _phase_numerators(c, -24, idx)
+            rows = _exponents(c, zip(signs.tolist(), rs.tolist()))
+            literal = _exponents(c, _phase_numerators_literal(c, -24, idx))
+            assert literal == {k: LIFTS * m for k, m in rows.items()}, (c, idx)
+
+
+def test_kloosterman_times_lifts_is_the_literal_sum():
+    """Relative to the sum of the summands' moduli, since K_c can vanish."""
+    for c in ENUM_CS:
+        for idx in ENUM_IDXS:
+            terms = _phase_numerators_literal(c, -24, idx)
+            literal = sum(s * cmath.exp(2j * math.pi * r / (24 * c)) for s, r in terms)
+            value = kloosterman(c, -24, idx).value
+            assert abs(LIFTS * value - literal) <= 1e-12 * len(terms), (c, idx, value, literal)
+
+
+def test_kloosterman_term_count_is_phi():
+    for c in range(1, 51):
+        phi = sum(1 for d in range(c) if gcd(d, c) == 1)
+        assert kloosterman(c, -24, 24 * 99).term_count == phi, c
     assert abs(kloosterman(3, -24, 24).value) <= kloosterman(3, -24, 24).term_count
+    for m, n in ((-23, 0), (-24, 1)):
+        with pytest.raises(ValueError):
+            kloosterman(5, m, n)
 
 
-def test_kloosterman_literal_vs_fast():
-    for c in (1, 2, 3, 4, 5):
-        for n in (0, 24, 48):
-            signs, rs = _phase_numerators(c, -24, n)
-            fast = sorted(zip(signs.tolist(), rs.tolist()))
-            literal = sorted(_phase_numerators_literal(c, -24, n))
-            assert fast == literal, (c, n)
-
-
-def test_kloosterman_translation_lifts_identical():
-    """Each coset appears 24 times with identical summands (the source of
-    the 1/24^2 prefactor in rademacher_pn)."""
-    for c in (1, 2, 3, 5, 7, 12):
-        signs, rs = _phase_numerators(c, -24, 72)
-        assert len(signs) % 24 == 0
-        s = signs.reshape(-1, 24)
-        r = rs.reshape(-1, 24)
-        for i in range(len(s)):
-            assert len(set(s[i].tolist())) == 1
-            assert len(set(r[i].tolist())) == 1
+def test_rademacher_depth_50_rounds_to_p_n_below_236():
+    table = partition_table(235)
+    assert [rademacher_pn(n, 50).nearest for n in range(1, 236)] == [table.p(n) for n in range(1, 236)]
 
 
 def bessel_series_oracle(x, terms=80):
@@ -202,3 +235,16 @@ def test_rademacher_validation():
         rademacher_pn(0, 10)
     with pytest.raises(ValueError):
         rademacher_pn(3, 0)
+
+
+def test_rademacher_does_not_import_the_hecke_stack():
+    with open(rademacher.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert not imported & {"dirichlet", "hecke", "forms", "_coeffs"}, imported
