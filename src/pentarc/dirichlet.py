@@ -38,11 +38,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from ._coeffs import _MAX_LEN, cusp_monomial_coeffs
+from ._coeffs import cusp_monomial_coeffs
 from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
 from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial
-from .forms import delta, dim_cusp, eisenstein
+from .forms import _monomial_exponents, dim_cusp
 from .hecke import eigenforms
 
 __all__ = [
@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 DEFAULT_BIG_M = 100
-#: largest n-truncation whose monomial tables (indices 0..N+1) pass the
-#: int64 convolution guard of the CRT layer
-MAX_BIG_N = _MAX_LEN - 2
+#: largest n-truncation accepted (``--big-n`` domain limit); the monomial
+#: tables reach index N + 1
+MAX_BIG_N = 1048574
 
 _KRON12 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 
@@ -227,7 +227,7 @@ def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> 
 
 
 class EmbeddedEigenform:
-    """Real-embedded eigenform coefficients backed by the exact CRT tables."""
+    """Real-embedded eigenform coefficients backed by the exact monomial tables."""
 
     __slots__ = ("weight", "disc", "_table")
 
@@ -243,41 +243,24 @@ class EmbeddedEigenform:
             raise PrecisionError(f"coefficient {m} not tabulated") from None
 
 
-def _monomial_exponents_for_cusp(weight: int) -> list[tuple[int, int]]:
-    out = []
-    rest_weight = weight - 12
-    for a in range(rest_weight // 4 + 1):
-        rest = rest_weight - 4 * a
-        if rest % 6 == 0:
-            out.append((a, rest // 6))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _eigenform_monomial_coords(nu: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[QuadNum, ...], ...]]:
     """Exact coordinates of each eigenform in the basis Delta * E4^a E6^b."""
     weight = 2 * nu
-    exps = tuple(_monomial_exponents_for_cusp(weight))
+    exps = tuple(_monomial_exponents(weight - 12))
     dim = len(exps)
     prec = dim + 6
-    basis = []
-    for a, b in exps:
-        series = delta(prec)
-        for _ in range(a):
-            series = series * eisenstein(4, prec)
-        for _ in range(b):
-            series = series * eisenstein(6, prec)
-        basis.append(series)
+    basis = [cusp_monomial_coeffs(1, a, b, tuple(range(prec)), prec - 1) for a, b in exps]
     coords = []
     for f in eigenforms(weight):
         # solve sum_j c_j basis_j[n] = a_f(n) for n = 1..dim, then verify
-        mat = [[QuadNum(basis[j].coeff(n)) for j in range(dim)] for n in range(1, dim + 1)]
+        mat = [[QuadNum(basis[j][n]) for j in range(dim)] for n in range(1, dim + 1)]
         rhs = [f.a(n) for n in range(1, dim + 1)]
         c = _solve_quadnum(mat, rhs)
         for n in range(1, prec):
-            synth = c[0] * basis[0].coeff(n)
+            synth = c[0] * basis[0][n]
             for j in range(1, dim):
-                synth = synth + c[j] * basis[j].coeff(n)
+                synth = synth + c[j] * basis[j][n]
             if synth != f.a(n):
                 raise InternalCancellationError("eigenform does not match its monomial coordinates")
         coords.append(tuple(c))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._coeffs import cusp_monomial_coeffs
 from .errors import NotInSpaceError, PrecisionError
 from .exactnum import bernoulli
 from .partitions import sigma
@@ -63,16 +64,14 @@ def cusp_generator(weight: int, prec: int) -> IntQSeries:
 
     Defined for weight in {12, 16, 18, 20, 22, 26} as Delta times the unique
     E4^a E6^b monomial of weight (weight - 12); leading coefficient 1 at q.
+    Exact through q^(prec-1), read from the ``_coeffs`` monomial table.
     """
     if weight not in _DIM1_MONOMIAL:
         raise ValueError(f"weight {weight} does not have a 1-dimensional cusp space")
+    if prec < 2:
+        raise ValueError("prec must be >= 2")
     a, b = _DIM1_MONOMIAL[weight]
-    out = delta(prec)
-    for _ in range(a):
-        out = out * eisenstein(4, prec)
-    for _ in range(b):
-        out = out * eisenstein(6, prec)
-    return out
+    return IntQSeries._make(1, cusp_monomial_coeffs(1, a, b, tuple(range(1, prec)), prec - 1))
 
 
 def _monomial_exponents(weight: int) -> list[tuple[int, int]]:

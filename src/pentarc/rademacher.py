@@ -14,7 +14,9 @@ double coset Gamma_inf\\SL2(Z)/Gamma_inf with lower-left entry c: d in
 or d by c multiplies the multiplier by exp(pi i/12) and moves the phase by
 (m + 24)/24 or (n + 24)/24 of a turn, so for m, n divisible by 24 every
 representative of a coset carries the same summand.  I_{3/2} has the
-elementary closed form sqrt(2/(pi x)) (cosh x - sinh x / x).  Partial sums
+elementary closed form sqrt(2/(pi x)) (cosh x - sinh x / x).  Each K_c is
+a sequential complex sum of its at most c terms (plain Python: at this
+size a vector library costs more per call than it saves).  Partial sums
 over c <= C round to p(n); the residual imaginary part is reported, never
 discarded.
 """
@@ -27,9 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .arith import kronecker_symbol
+from .errors import PrecisionError
 
 __all__ = [
     "CUSP_WIDTH",
@@ -115,38 +116,29 @@ class KloostermanSum:
 
 
 @lru_cache(maxsize=None)
-def _pair_data(c: int):
-    """Per-c coset data: signs, multiplier exponents, and (a, d) columns.
+def _pair_data(c: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per-c coset rows (sign, multiplier exponent e, a, d).
 
     One row per coset: d in [0, c) coprime to c and a = d^(-1) mod c.
     """
-    signs, es, aa, dd = [], [], [], []
+    rows = []
     for d in range(c):
         if gcd(d, c) != 1:
             continue
         a = pow(d, -1, c)
         eps = eta_multiplier(a, (a * d - 1) // c, c, d)
-        signs.append(eps.sign)
-        es.append(eps.e)
-        aa.append(a)
-        dd.append(d)
-    return (
-        np.array(signs, dtype=np.int64),
-        np.array(es, dtype=np.int64),
-        np.array(aa, dtype=np.int64),
-        np.array(dd, dtype=np.int64),
-    )
+        rows.append((eps.sign, eps.e, a, d))
+    return tuple(rows)
 
 
-def _phase_numerators(c: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, r) with each coset contributing sign * exp(2 pi i r / (24c)).
+def _phase_numerators(c: int, m: int, n: int) -> list[tuple[int, int]]:
+    """(sign, r) per coset, contributing sign * exp(2 pi i r / (24c)).
 
     The weight 1/conj(eps) equals eps itself (|eps| = 1), so the phase
     numerator is e*c + (m + kappa) a + (n + kappa) d  (mod 24c).
     """
-    signs, es, aa, dd = _pair_data(c)
-    r = (es * c + (m + CUSP_PARAMETER) * aa + (n + CUSP_PARAMETER) * dd) % (24 * c)
-    return signs, r
+    mk, nk = m + CUSP_PARAMETER, n + CUSP_PARAMETER
+    return [(sign, (e * c + mk * a + nk * d) % (24 * c)) for sign, e, a, d in _pair_data(c)]
 
 
 def kloosterman(c: int, m: int, n: int) -> KloostermanSum:
@@ -159,9 +151,11 @@ def kloosterman(c: int, m: int, n: int) -> KloostermanSum:
         raise ValueError("c must be >= 1")
     if m % CUSP_WIDTH or n % CUSP_WIDTH:
         raise ValueError("m and n must be divisible by 24")
-    signs, r = _phase_numerators(c, m, n)
-    value = complex(np.sum(signs * np.exp(1j * (2.0 * np.pi * r / (24.0 * c)))))
-    return KloostermanSum(c, value, len(signs))
+    terms = _phase_numerators(c, m, n)
+    value = 0j
+    for sign, r in terms:
+        value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
+    return KloostermanSum(c, value, len(terms))
 
 
 def bessel_i32(x: float) -> float:
@@ -204,7 +198,9 @@ def rademacher_pn(n: int, depth: int = 50) -> RademacherEstimate:
     """Evaluate p(n) by the partial sum over 1 <= c <= depth.
 
     The q^((24n-1)/24) coefficient of the generating function corresponds
-    to series index 24n - 24 and principal-part argument m = -24.
+    to series index 24n - 24 and principal-part argument m = -24.  Raises
+    PrecisionError when the c = 1 Bessel term overflows binary64 (n above
+    about 76,800).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -218,7 +214,13 @@ def rademacher_pn(n: int, depth: int = 50) -> RademacherEstimate:
     acc = 0j
     for c in range(1, depth + 1):
         kc = kloosterman(c, -24, idx)
-        acc += kc.value / c * bessel_i32(math.pi * math.sqrt(x24) / (6.0 * c))
+        x = math.pi * math.sqrt(x24) / (6.0 * c)
+        try:
+            acc += kc.value / c * bessel_i32(x)
+        except OverflowError:
+            raise PrecisionError(
+                f"p({n}): I_3/2({x:.6g}) at c = {c} leaves the binary64 range"
+            ) from None
     total = pref * acc
     nearest = round(total.real)
     return RademacherEstimate(

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pentarc
 from pentarc import dirichlet as dmod
 from pentarc import partitions
 from pentarc.cli import main
@@ -174,6 +178,22 @@ def test_rademacher_range(capsys):
     assert code == 0
     assert [r["nearest"] for r in data["results"]] == [1, 2, 3]
     assert all(r["depth"] == 20 for r in data["results"])
+
+
+def test_rademacher_beyond_binary64_exits_2(capsys):
+    code = main(["rademacher", "80000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "p(80000)" in captured.err and "binary64" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_import_loads_neither_numpy_nor_mpmath():
+    src = os.path.dirname(os.path.dirname(pentarc.__file__))
+    probe = "import sys, pentarc.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_suite(capsys):

@@ -159,8 +159,7 @@ def test_coset_rows_are_the_literal_pairs_once_per_lift():
     """The literal summand multiset is the coset rows', each 576 times."""
     for c in ENUM_CS:
         for idx in ENUM_IDXS:
-            signs, rs = _phase_numerators(c, -24, idx)
-            rows = _exponents(c, zip(signs.tolist(), rs.tolist()))
+            rows = _exponents(c, _phase_numerators(c, -24, idx))
             literal = _exponents(c, _phase_numerators_literal(c, -24, idx))
             assert literal == {k: LIFTS * m for k, m in rows.items()}, (c, idx)
 
