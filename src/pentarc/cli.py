@@ -270,19 +270,11 @@ def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
     big_n = cfg.big_n if cfg.big_n is not None else dmod.default_big_n(nu)
     if not 1 <= big_n <= dmod.MAX_BIG_N:
         raise ValueError(f"--big-n must lie in 1..{dmod.MAX_BIG_N}, got {big_n}")
-    projections = hecke.eigenform_projections(nu)
-    embedded = dmod.embedded_eigenforms(nu, big_n)
-    results = []
-    for i, (f, gamma) in enumerate(zip(embedded, projections)):
-        value = dmod.dirichlet_double_sum(f, nu, cfg.big_m, big_n, cfg.dps)
-        results.append(
-            {
-                "eigenform": i + 1,
-                "double_sum": value,
-                "projection_exact": gamma,
-                "norm_estimate": value / gamma.embed(),
-            }
-        )
+    est = dmod.petersson_norm_estimate(nu, cfg.big_m, big_n, cfg.dps)
+    results = [
+        {"eigenform": i + 1, "double_sum": value, "projection_exact": gamma, "norm_estimate": norm}
+        for i, (value, gamma, norm) in enumerate(zip(est.double_sums, est.projections, est.estimates))
+    ]
     payload = {
         "command": "dirichlet",
         "nu": nu,

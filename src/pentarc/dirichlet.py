@@ -41,9 +41,9 @@ from math import gcd, isqrt
 from ._coeffs import cusp_monomial_coeffs
 from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
-from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial
+from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial, solve
 from .forms import _monomial_exponents, dim_cusp
-from .hecke import eigenforms
+from .hecke import eigenform_projections, eigenforms
 
 __all__ = [
     "DEFAULT_BIG_M",
@@ -256,7 +256,7 @@ def _eigenform_monomial_coords(nu: int) -> tuple[tuple[tuple[int, int], ...], tu
         # solve sum_j c_j basis_j[n] = a_f(n) for n = 1..dim, then verify
         mat = [[QuadNum(basis[j][n]) for j in range(dim)] for n in range(1, dim + 1)]
         rhs = [f.a(n) for n in range(1, dim + 1)]
-        c = _solve_quadnum(mat, rhs)
+        c = solve(mat, rhs)
         for n in range(1, prec):
             synth = c[0] * basis[0][n]
             for j in range(1, dim):
@@ -265,21 +265,6 @@ def _eigenform_monomial_coords(nu: int) -> tuple[tuple[tuple[int, int], ...], tu
                 raise InternalCancellationError("eigenform does not match its monomial coordinates")
         coords.append(tuple(c))
     return exps, tuple(coords)
-
-
-def _solve_quadnum(mat, rhs):
-    n = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fac = aug[r][col]
-                aug[r] = [v - fac * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -371,11 +356,14 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Petersson norm estimates with the truncations that produced them."""
+    """Per-eigenform double sums, exact projection ratios and the Petersson
+    norm estimates they give, with the truncations that produced them."""
 
     nu: int
     big_m: int
     big_n: int
+    double_sums: tuple[float, ...]
+    projections: tuple[QuadNum, ...]
     estimates: tuple[float, ...]
 
 
@@ -384,13 +372,9 @@ def petersson_norm_estimate(
 ) -> NormEstimate:
     """Norm estimate per eigenform: double sum divided by the exact
     projection ratio, both embedded with sqrt(d) > 0."""
-    from .hecke import eigenform_projections
-
     M = DEFAULT_BIG_M if M is None else M
     N = default_big_n(nu) if N is None else N
     projections = eigenform_projections(nu)
-    forms = embedded_eigenforms(nu, N)
-    estimates = []
-    for f, gamma in zip(forms, projections):
-        estimates.append(dirichlet_double_sum(f, nu, M, N, dps) / gamma.embed())
-    return NormEstimate(nu, M, N, tuple(estimates))
+    sums = tuple(dirichlet_double_sum(f, nu, M, N, dps) for f in embedded_eigenforms(nu, N))
+    estimates = tuple(s / gamma.embed() for s, gamma in zip(sums, projections))
+    return NormEstimate(nu, M, N, sums, projections, estimates)

@@ -4,8 +4,9 @@ Rationals are plain ``fractions.Fraction`` (re-exported as ``Rat``); on top of
 that this module provides Bernoulli numbers under the B_1 = -1/2 convention,
 falling/rising factorials including the negative-index falling factorial
 (x)_m := 1/(x)_{-m} for m <= -1, exact Gamma values at integers and
-half-integers tracked as rational multiples of pi^(h/2), and arithmetic in a
-real quadratic field Q(sqrt(d)).
+half-integers tracked as rational multiples of pi^(h/2), arithmetic in a
+real quadratic field Q(sqrt(d)), and the one exact linear solver, generic
+over those fields.
 
 All values are immutable; all operations are pure functions.
 """
@@ -16,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import GammaPoleError
+from .errors import GammaPoleError, InternalCancellationError
 
 Rat = Fraction
 
@@ -28,6 +29,8 @@ __all__ = [
     "falling_factorial",
     "rising_factorial",
     "gamma_exact",
+    "rref",
+    "solve",
 ]
 
 
@@ -283,3 +286,45 @@ def gamma_exact(x: Fraction | int) -> PiScalar:
     steps = -k
     denom = rising_factorial(x, steps)
     return PiScalar(Fraction(1) / denom, 1)
+
+
+def rref(rows: list[list]) -> list[list]:
+    """Reduced row echelon form over an exact field, zero rows dropped.
+
+    Entries must be field elements (``Fraction`` or ``QuadNum``): int / int
+    would divide to float.  Each pivot is the first nonzero entry of its
+    column and is scaled to 1.
+    """
+    rows = [row[:] for row in rows]
+    n_cols = len(rows[0]) if rows else 0
+    pivot_row = 0
+    for col in range(n_cols):
+        if pivot_row == len(rows):
+            break
+        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        lead = rows[pivot_row][col]
+        rows[pivot_row] = [v / lead for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+    return [row for row in rows if any(row)]
+
+
+def solve(matrix: list[list], rhs: list) -> list:
+    """The x with matrix x = rhs for a square system over an exact field,
+    read from the reduced form of [matrix | rhs].
+
+    Every caller solves a system the mathematics makes nonsingular, so a
+    singular one raises InternalCancellationError.
+    """
+    n = len(matrix)
+    reduced = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    # full rank puts row i's leading 1 in column i
+    if len(reduced) != n or any(reduced[i][i] != 1 for i in range(n)):
+        raise InternalCancellationError(f"singular {n}x{n} linear system")
+    return [row[n] for row in reduced]

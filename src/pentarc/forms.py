@@ -4,7 +4,8 @@ Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n (the
 quasi-modular E_2 is allowed as a series but never enters a space basis),
 Delta = eta^24, the one-dimensional cusp-space generators Delta * E-monomial,
 and exact monomial bases of M_w with echelonized cusp bases, plus exact
-decomposition against them.
+decomposition against them.  The echelon form and the decomposition both
+come from the exact solver ``exactnum.rref`` / ``exactnum.solve``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 from ._coeffs import cusp_monomial_coeffs
 from .errors import NotInSpaceError, PrecisionError
-from .exactnum import bernoulli
+from .exactnum import bernoulli, rref, solve
 from .partitions import sigma
 from .qseries import IntQSeries, euler_expansion
 
@@ -113,28 +114,6 @@ class MFSpace:
     prec: int
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact reduced row echelon form over Fraction."""
-    rows = [row[:] for row in rows]
-    n_cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [v / lead for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [row for row in rows if any(row)]
-
-
 @lru_cache(maxsize=None)
 def space_basis(weight: int, prec: int) -> MFSpace:
     """Monomial basis of M_weight and echelonized basis of S_weight."""
@@ -161,7 +140,7 @@ def space_basis(weight: int, prec: int) -> MFSpace:
     rows = [
         [Fraction(a * ew.den - b * m.den) for a, b in zip(m.coeffs, ew.coeffs)] for m in basis
     ]
-    reduced = _rref(rows)
+    reduced = rref(rows)
     if len(reduced) != n_cusp:
         raise PrecisionError("echelonization did not produce the expected cusp basis")
     cusp = []
@@ -171,24 +150,6 @@ def space_basis(weight: int, prec: int) -> MFSpace:
             raise PrecisionError("cusp basis is not in staircase form")
         cusp.append(IntQSeries(0, row))
     return MFSpace(weight, dim_total, n_cusp, basis, tuple(cusp), prec)
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact linear system by Gaussian elimination."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def decompose(f: IntQSeries, space: MFSpace) -> list[Fraction]:
@@ -205,7 +166,7 @@ def decompose(f: IntQSeries, space: MFSpace) -> list[Fraction]:
     n_rows = space.dim_total
     matrix = [[space.basis[j].coeff(n) for j in range(n_rows)] for n in range(n_rows)]
     rhs = [f.coeff(n) for n in range(n_rows)]
-    coords = _solve_exact(matrix, rhs)
+    coords = solve(matrix, rhs)
     check_prec = min(f.prec, space.prec)
     for n in range(check_prec):
         synth = sum((coords[j] * space.basis[j].coeff(n) for j in range(n_rows)), Fraction(0))

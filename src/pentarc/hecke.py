@@ -6,9 +6,10 @@ The weight-2nu trace sequence is defined for n >= 1 by
     trace(n) = [q^n] eta_bracket(nu) + (4 nu / B_{2nu}) C(2nu-2, nu-2) sigma_{2nu-1}(n),
 
 i.e. the coefficients of the cuspidal part after removing the Eisenstein
-component C(2nu-2, nu-2) * E_{2nu}.  ``eigenform_projections`` solves the
-trace sequence against the eigenform coefficients, yielding the exact
-projection ratios <bracket, f_i> / <f_i, f_i>.
+component C(2nu-2, nu-2) * E_{2nu}.  ``eigenform_projections`` solves
+sum_i gamma_i a_i(n) = trace(n), n = 1..dim, with the exact solver
+``exactnum.solve``, yielding the exact projection ratios
+gamma_i = <bracket, f_i> / <f_i, f_i>.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .errors import PrecisionError, UnsupportedHeckeFieldError
-from .exactnum import QuadNum, bernoulli
+from .exactnum import QuadNum, bernoulli, solve
 from .forms import dim_cusp, space_basis
 from .partitions import sigma
 from .qseries import IntQSeries
@@ -222,21 +223,13 @@ def trace_series(nu: int, n_max: int) -> TraceSeries:
 
 @lru_cache(maxsize=None)
 def eigenform_projections(nu: int) -> tuple[QuadNum, ...]:
-    """Exact coefficients of the cuspidal part of eta_bracket(nu) in the
-    eigenform basis, solved from the first dim coefficients of the traces."""
+    """Exact coefficients gamma_i of the cuspidal part of eta_bracket(nu) in
+    the eigenform basis: the solution of sum_i gamma_i a_i(n) = trace(n) for
+    n = 1..dim."""
     dim = dim_cusp(2 * nu)
-    if dim not in (1, 2):
-        raise UnsupportedHeckeFieldError(f"dim S_{2*nu} = {dim} is not supported")
+    if dim == 0:
+        raise UnsupportedHeckeFieldError(f"dim S_{2*nu} = 0 is not supported")
+    fs = eigenforms(2 * nu)
     traces = trace_series(nu, dim)
-    if dim == 1:
-        return (QuadNum(traces.value(1)),)
-    f1, f2 = eigenforms(2 * nu)
-    a1, a2 = f1.a(2), f2.a(2)
-    if a1 == a2:
-        raise UnsupportedHeckeFieldError("coincident eigenvalues")
-    # gamma1 + gamma2 = trace(1); gamma1 a1 + gamma2 a2 = trace(2)
-    t1 = QuadNum(traces.value(1))
-    t2 = QuadNum(traces.value(2))
-    gamma1 = (t2 - t1 * a2) / (a1 - a2)
-    gamma2 = t1 - gamma1
-    return (gamma1, gamma2)
+    matrix = [[f.a(n) for f in fs] for n in range(1, dim + 1)]
+    return tuple(solve(matrix, [QuadNum(traces.value(n)) for n in range(1, dim + 1)]))

@@ -17,11 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
 
+from .errors import InternalCancellationError
 from .exactnum import bernoulli, falling_factorial
 
 __all__ = [
     "PartitionTable",
     "pentagonal",
+    "pentagonal_terms",
     "partition_table",
     "sigma",
     "bracket_weights",
@@ -33,6 +35,23 @@ __all__ = [
 def pentagonal(k: int) -> int:
     """omega(k) = (3k^2 + k)/2; omega(0) = 0."""
     return (3 * k * k + k) // 2
+
+
+@lru_cache(maxsize=8)
+def pentagonal_terms(n_max: int) -> tuple[tuple[int, int], ...]:
+    """(k, omega(k)) for every k != 0 with omega(k) <= n_max, ascending in omega.
+
+    omega(-k) < omega(k) < omega(-k-1), so the order is k = -1, 1, -2, 2, ...;
+    callers walk it and stop at the first omega(k) > n.
+    """
+    terms = []
+    k = 1
+    while pentagonal(-k) <= n_max:
+        terms.append((-k, pentagonal(-k)))
+        if pentagonal(k) <= n_max:
+            terms.append((k, pentagonal(k)))
+        k += 1
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -52,28 +71,19 @@ class PartitionTable:
 
 @lru_cache(maxsize=None)
 def partition_table(n_max: int) -> PartitionTable:
-    """p(n) for n <= n_max by the signed pentagonal recurrence.
-
-    Terms are taken in the order k = 1, -1, 2, -2, ... and the recurrence
-    stops at the first |k| where both pentagonal indices exceed n.
-    """
+    """p(n) for n <= n_max by the signed pentagonal recurrence, walking
+    ``pentagonal_terms`` up to omega(k) = n."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    terms = pentagonal_terms(n_max)
     values = [0] * (n_max + 1)
     values[0] = 1
     for n in range(1, n_max + 1):
         acc = 0
-        k = 1
-        while True:
-            w1, w2 = pentagonal(k), pentagonal(-k)
-            if w1 > n and w2 > n:
+        for k, w in terms:
+            if w > n:
                 break
-            sign = 1 if k % 2 else -1
-            if w1 <= n:
-                acc += sign * values[n - w1]
-            if w2 <= n:
-                acc += sign * values[n - w2]
-            k += 1
+            acc += values[n - w] if k % 2 else -values[n - w]
         values[n] = acc
     return PartitionTable(tuple(values))
 
@@ -158,18 +168,13 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
     w0 = _weight_numerator(weights, n, 0)
     if w0 == 0:
         # cannot occur for n >= 1; guard kept so a regression is loud
-        raise ArithmeticError(f"vanishing k=0 weight at nu={nu}, n={n}")
+        raise InternalCancellationError(f"vanishing k=0 weight at nu={nu}, n={n}")
     eis = -Fraction(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2) * sigma(2 * nu - 1, n)
     acc = 0
-    k = 1
-    while True:
-        w1, w2 = pentagonal(k), pentagonal(-k)
-        if w1 > n and w2 > n:
+    # one walk, to the table's end, serves every n of a table
+    for k, w in pentagonal_terms(len(ptable) - 1):
+        if w > n:
             break
         sign = 1 if k % 2 else -1
-        if w1 <= n:
-            acc += sign * _weight_numerator(weights, n, k) * ptable.p(n - w1)
-        if w2 <= n:
-            acc += sign * _weight_numerator(weights, n, -k) * ptable.p(n - w2)
-        k += 1
+        acc += sign * _weight_numerator(weights, n, k) * ptable.p(n - w)
     return (eis + trace + factor * acc) / (factor * w0)

@@ -34,7 +34,7 @@ from math import factorial
 
 from .errors import GammaPoleError, InternalCancellationError
 from .exactnum import falling_factorial
-from .partitions import bracket_weights, partition_table, pentagonal, recurrence_weight
+from .partitions import bracket_weights, partition_table, pentagonal_terms, recurrence_weight
 from .qseries import IntQSeries, QSeries24, euler_expansion
 
 __all__ = [
@@ -92,20 +92,15 @@ def eta_bracket_from_partitions(nu: int, prec: int) -> IntQSeries:
     if prec < 2:
         raise ValueError("prec must be >= 2")
     ptable = partition_table(prec - 1)
+    terms = pentagonal_terms(prec - 1)
     coeffs = []
     for n in range(prec):
         acc = recurrence_weight(nu, n, 0) * ptable.p(n)
-        k = 1
-        while True:
-            w1, w2 = pentagonal(k), pentagonal(-k)
-            if w1 > n and w2 > n:
+        for k, w in terms:
+            if w > n:
                 break
             sign = -1 if k % 2 else 1
-            if w1 <= n:
-                acc += sign * recurrence_weight(nu, n, k) * ptable.p(n - w1)
-            if w2 <= n:
-                acc += sign * recurrence_weight(nu, n, -k) * ptable.p(n - w2)
-            k += 1
+            acc += sign * recurrence_weight(nu, n, k) * ptable.p(n - w)
         coeffs.append(acc)
     return IntQSeries(0, coeffs)
 

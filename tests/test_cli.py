@@ -173,6 +173,14 @@ def test_corrupt_monomial_table_exits_3(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_vanishing_recurrence_weight_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(partitions, "_weight_numerator", lambda weights, n, k: 0)
+    code = main(["partition", "5", "--method", "trace:6"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "vanishing k=0 weight" in captured.err
+
+
 def test_rademacher_range(capsys):
     code, data = run_json(capsys, "--depth-c", "20", "rademacher", "1..3")
     assert code == 0

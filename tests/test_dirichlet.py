@@ -24,7 +24,7 @@ from pentarc.dirichlet import (
 from pentarc.errors import InternalCancellationError, PrecisionError
 from pentarc.exactnum import QuadNum
 from pentarc.forms import delta
-from pentarc.hecke import eigenforms
+from pentarc.hecke import eigenform_projections, eigenforms
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +268,12 @@ def test_norm_estimate_weight24_positive():
     est = petersson_norm_estimate(12)
     assert len(est.estimates) == 2
     assert all(v > 0 for v in est.estimates)
+    # each eigenform's double sum goes with its own exact projection
+    assert est.projections == eigenform_projections(12)
+    forms = embedded_eigenforms(12, est.big_n)
+    for f, value, gamma, norm in zip(forms, est.double_sums, est.projections, est.estimates):
+        assert value == dirichlet_double_sum(f, 12, est.big_m, est.big_n)
+        assert norm == value / gamma.embed()
 
 
 def test_norm_estimates_other_weights_positive_and_stable():

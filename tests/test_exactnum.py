@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pentarc.errors import GammaPoleError
+from pentarc.errors import GammaPoleError, InternalCancellationError
 from pentarc.exactnum import (
     PiScalar,
     QuadNum,
@@ -12,7 +15,12 @@ from pentarc.exactnum import (
     falling_factorial,
     gamma_exact,
     rising_factorial,
+    rref,
+    solve,
 )
+
+# fixed examples keep the test run reproducible; no example database is written
+SOLVER = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def bernoulli_oracle(n_max):
@@ -139,3 +147,89 @@ def test_quadnum_embedding_order():
     lo = QuadNum(540, -12, 144169)
     hi = QuadNum(540, 12, 144169)
     assert lo.embed() < hi.embed()
+
+
+# small entries make singular matrices common, so both solver outcomes occur
+rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+# Q(sqrt(5)): rational entries mixed with irrational ones
+quadratics = st.builds(QuadNum, rationals, rationals, st.just(5))
+
+
+def matrices(entries, rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def square_systems(entries):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(matrices(entries, n, n), st.lists(entries, min_size=n, max_size=n))
+    )
+
+
+def rectangular(entries):
+    return st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(lambda rc: matrices(entries, *rc))
+
+
+def leibniz_det(matrix):
+    """Determinant by the permutation expansion, independent of elimination."""
+    n = len(matrix)
+    total = 0 * matrix[0][0]
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
+
+
+def times(matrix, x):
+    return [sum((a * b for a, b in zip(row, x)), 0 * x[0]) for row in matrix]
+
+
+@SOLVER
+@given(st.one_of(square_systems(rationals), square_systems(quadratics)))
+def test_solve_is_exact_or_rejects_a_singular_system(system):
+    matrix, x = system
+    b = times(matrix, x)
+    if leibniz_det(matrix):
+        got = solve(matrix, b)
+        assert times(matrix, got) == b
+        assert got == x  # a nonsingular system has one solution
+    else:
+        with pytest.raises(InternalCancellationError):
+            solve(matrix, b)
+
+
+@SOLVER
+@given(st.one_of(rectangular(rationals), rectangular(quadratics)))
+def test_rref_is_idempotent_and_reduced(rows):
+    reduced = rref(rows)
+    assert rref(reduced) == reduced
+    assert len(reduced) <= len(rows)
+    leads = [next(j for j, v in enumerate(row) if v) for row in reduced]
+    assert leads == sorted(set(leads))
+    for i, j in enumerate(leads):
+        assert reduced[i][j] == 1
+        assert all(not other[j] for r, other in enumerate(reduced) if r != i)
+
+
+def test_solve_rejects_singular_systems():
+    half = F(1, 2)
+    root5 = QuadNum(0, 1, 5)
+    for matrix, b in (
+        ([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]),  # dependent, consistent
+        ([[F(1), F(2)], [F(2), F(4)]], [F(1), F(3)]),  # dependent, inconsistent
+        ([[F(0)]], [F(0)]),
+        ([[root5, half * root5], [QuadNum(2), QuadNum(1)]], [QuadNum(0), QuadNum(1)]),
+    ):
+        with pytest.raises(InternalCancellationError):
+            solve(matrix, b)
+
+
+def test_solve_quadratic_field_example():
+    root5 = QuadNum(0, 1, 5)
+    phi = (1 + root5) / 2
+    # x + y = 1, phi x + (1 - phi) y = 0
+    x, y = solve([[QuadNum(1), QuadNum(1)], [phi, 1 - phi]], [QuadNum(1), QuadNum(0)])
+    assert x + y == 1 and phi * x + (1 - phi) * y == 0
+    assert x == (5 - root5) / 10

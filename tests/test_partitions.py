@@ -10,6 +10,7 @@ from pentarc.partitions import (
     bracket_weights,
     partition_table,
     pentagonal,
+    pentagonal_terms,
     recurrence_rhs,
     recurrence_weight,
     sigma,
@@ -21,6 +22,18 @@ def test_pentagonal_values():
     assert pentagonal(1) == 2 and pentagonal(-1) == 1
     assert pentagonal(2) == 7 and pentagonal(-2) == 5
     assert pentagonal(0) == 0
+
+
+def test_pentagonal_terms_against_brute_force():
+    for n in range(401):
+        # |k| <= n + 1 covers every omega(k) <= n, since omega(k) >= |k|
+        want = sorted((pentagonal(k), k) for k in range(-n - 1, n + 2) if k and pentagonal(k) <= n)
+        terms = pentagonal_terms(n)
+        assert [(w, k) for k, w in terms] == want, n
+        assert all(a[1] < b[1] for a, b in zip(terms, terms[1:])), n
+    assert pentagonal_terms(0) == ()
+    assert pentagonal_terms(1) == ((-1, 1),)
+    assert pentagonal_terms(5) == ((-1, 1), (1, 2), (-2, 5))
 
 
 def test_partition_table_values():
