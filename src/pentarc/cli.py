@@ -174,42 +174,57 @@ def _int_range(text: str) -> range:
     return out
 
 
-def _partition_by_method(n: int, method: str, cfg: RunConfig, table, traces) -> dict:
+def _parse_method(method: str) -> tuple[str, int]:
+    """--method as (kind, integer): ("euler", 0), ("trace", NU) with NU >= 2
+    or ("rademacher", C) with C >= 1."""
     if method == "euler":
+        return "euler", 0
+    kind, _, raw = method.partition(":")
+    least = {"trace": 2, "rademacher": 1}.get(kind)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if least is None or value is None or value < least:
+        raise ValueError(
+            "--method must be euler, trace:NU with integer NU >= 2 or rademacher:C with "
+            f"integer C >= 1, got {method!r}"
+        )
+    return kind, value
+
+
+def _partition_by_method(n: int, method: str, kind: str, value: int, table, traces) -> dict:
+    if kind == "euler":
         return {"n": n, "method": "euler", "value": Fraction(table.p(n))}
-    if method.startswith("trace:"):
-        nu = int(method.split(":", 1)[1])
+    if kind == "trace":
         trace = traces.value(n) if traces is not None else Fraction(0)
-        value = partitions.recurrence_rhs(nu, n, trace, table)
-        return {"n": n, "method": method, "value": value}
-    if method.startswith("rademacher:"):
-        depth = int(method.split(":", 1)[1])
-        est = rademacher.rademacher_pn(n, depth)
-        return {
-            "n": n,
-            "method": method,
-            "value": est.nearest,
-            "estimate": est.estimate,
-            "gap": est.gap,
-            "imag": est.imag,
-            "depth": est.depth,
-        }
-    raise ValueError(f"unknown method {method!r}")
+        return {"n": n, "method": method, "value": partitions.recurrence_rhs(value, n, trace, table)}
+    est = rademacher.rademacher_pn(n, value)
+    return {
+        "n": n,
+        "method": method,
+        "value": est.nearest,
+        "estimate": est.estimate,
+        "gap": est.gap,
+        "imag": est.imag,
+        "depth": est.depth,
+    }
 
 
 def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
     ns = args.n
+    kind, value = _parse_method(args.method)
+    if kind != "euler" and ns[0] < 1:
+        raise ValueError(f"argument n: --method {args.method} needs n >= 1, got {ns[0]}")
     table = traces = None
-    if args.cross_check or not args.method.startswith("rademacher:"):
+    if args.cross_check or kind != "rademacher":
         # one table serves every n of the request
         table = partitions.partition_table(max(ns))
-    if args.method.startswith("trace:"):
-        nu = int(args.method.split(":", 1)[1])
-        if forms.dim_cusp(2 * nu):
-            traces = hecke.trace_series(nu, max(ns))
+    if kind == "trace" and forms.dim_cusp(2 * value):
+        traces = hecke.trace_series(value, max(ns))
     results, code = [], 0
     for n in ns:
-        record = _partition_by_method(n, args.method, cfg, table, traces)
+        record = _partition_by_method(n, args.method, kind, value, table, traces)
         if args.cross_check:
             baseline = Fraction(table.p(n))
             agree = Fraction(record["value"]) == baseline

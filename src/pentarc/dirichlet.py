@@ -20,14 +20,22 @@ eigenform of weight w has multiplicative coefficients with
     a(p^(k+1)) = a(p) a(p^k) - p^(w-1) a(p^(k-1)),
 
 and every prime power dividing (n^2-1)/24 divides n - 1 or n + 1 (their gcd
-is 2), so it is at most n + 1.  Each needed coefficient is assembled exactly
-in Q(sqrt(d)) from a_f(p), p <= N + 1, and checked against the table
-wherever the table reaches it directly.
+is 2), so it is at most n + 1.  The coefficients are algebraic integers of
+Q(sqrt(d)), so 2a = x + y sqrt(d) with integers x and y.  Each needed
+coefficient is assembled exactly as such a pair from a_f(p), p <= N + 1,
+in Python ints: a product of pairs halves ((x1 x2 + d y1 y2)/2,
+(x1 y2 + x2 y1)/2), and each halving, like the division by the common
+denominator of the eigenform's monomial coordinates, is checked exact.
+Every assembled index the table reaches directly is checked against it,
+and each coefficient is rounded to a float once.
 
 Summation is j-outer, m-inner, n-innermost, with Neumaier-compensated
 accumulation so results reproduce across platforms to >= 12 digits.  The
 double sum meets only M + nu - 1 distinct exponents s, so each partial sum
-D(f, N; s) is evaluated once and reused for every (j, m) that needs it.
+D(f, N; s) is evaluated once and reused for every (j, m) that needs it; it
+stops at the first n whose n^(-s) underflows to 0.0, since every later term
+is 0.0 and leaves the sum's bits alone.  The float weights of a
+(nu, M, dps) are computed once and shared by all its eigenforms.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from ._coeffs import cusp_monomial_coeffs
 from .arith import kronecker_symbol  # re-exported: part of this module's API
@@ -139,25 +147,17 @@ def _pi_scalar_float(w: PiScalar, dps: int | None) -> float:
         return float(value)
 
 
-class _Neumaier:
-    """Compensated accumulator (Kahan-Babuska-Neumaier)."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
+def _neumaier_sum(values) -> float:
+    """Compensated (Kahan-Babuska-Neumaier) sum of ``values`` in order."""
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
         else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.comp
+            comp += (x - t) + total
+        total = t
+    return total + comp
 
 
 def _twisted_terms(f, N: int, s_min: int) -> list[tuple[float, float]]:
@@ -183,11 +183,26 @@ def _twisted_terms(f, N: int, s_min: int) -> list[tuple[float, float]]:
 
 
 def _partial_sum(terms: list[tuple[float, float]], s: int) -> float:
-    acc = _Neumaier()
+    """_neumaier_sum of coeff * n^(-s) over ``terms``, inlined.
+
+    The n ascend, so once n^(-s) underflows to 0.0 every later term is 0.0
+    too, and adding 0.0 changes neither accumulator word: the loop stops
+    there with the same bits as summing every term.
+    """
+    total = comp = 0.0
+    neg_s = -s
     for coeff, n in terms:
-        # n^(-s) underflows to 0.0 for terms far below representable range
-        acc.add(coeff * n ** (-s))
-    return acc.value()
+        scale = n ** neg_s
+        if not scale:
+            break
+        x = coeff * scale
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
 
 
 def dirichlet_partial(f, N: int, s: int) -> float:
@@ -199,31 +214,43 @@ def dirichlet_partial(f, N: int, s: int) -> float:
     return _partial_sum(_twisted_terms(f, N, s), s)
 
 
-def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> float:
-    """The truncated weighted double sum (j outer, m inner, n innermost).
-
-    ``dps`` switches the weight evaluation to mpmath at that many decimal
-    digits (the optional wide-float mode); the partial sums stay binary64.
-    Each distinct exponent's partial sum is computed once, and the exact
-    weights step in m by beta(nu, j, m) = beta(nu, j, m-1) (2nu+m-2)/m; both
-    give the same floats as calling dirichlet_partial and dirichlet_weight
-    for every (j, m).
-    """
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    terms = _twisted_terms(f, N, 2 * nu + 1)
-    partials: dict[int, float] = {}
-    acc = _Neumaier()
+@lru_cache(maxsize=8)
+def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float], ...]:
+    """(s, beta(nu, j, m)) as floats in summation order, j outer, m inner,
+    with s = 2nu+1+2m+2j.  The exact weights step in m by
+    beta(nu, j, m) = beta(nu, j, m-1) (2nu+m-2)/m, which gives the same
+    floats as calling dirichlet_weight for every (j, m)."""
+    out = []
     for j in range(nu - 1):
         weight = dirichlet_weight(nu, j, 0)
         for m in range(M + 1):
             if m:
                 weight = weight * Fraction(2 * nu + m - 2, m)
-            s = 2 * nu + 1 + 2 * m + 2 * j
-            if s not in partials:
-                partials[s] = _partial_sum(terms, s)
-            acc.add(_pi_scalar_float(weight, dps) * partials[s])
-    return acc.value()
+            out.append((2 * nu + 1 + 2 * m + 2 * j, _pi_scalar_float(weight, dps)))
+    return tuple(out)
+
+
+def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> float:
+    """The truncated weighted double sum (j outer, m inner, n innermost).
+
+    ``dps`` switches the weight evaluation to mpmath at that many decimal
+    digits (the optional wide-float mode); the partial sums stay binary64.
+    The float weights are shared by every eigenform of a (nu, M, dps), and
+    each distinct exponent's partial sum is computed once; both give the
+    same float as calling dirichlet_partial and dirichlet_weight_float for
+    every (j, m).
+    """
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    terms = _twisted_terms(f, N, 2 * nu + 1)
+    partials: dict[int, float] = {}
+    products = []
+    for s, weight in _float_weights(nu, M, dps):
+        partial = partials.get(s)
+        if partial is None:
+            partial = partials[s] = _partial_sum(terms, s)
+        products.append(weight * partial)
+    return _neumaier_sum(products)
 
 
 class EmbeddedEigenform:
@@ -243,7 +270,7 @@ class EmbeddedEigenform:
             raise PrecisionError(f"coefficient {m} not tabulated") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _eigenform_monomial_coords(nu: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[QuadNum, ...], ...]]:
     """Exact coordinates of each eigenform in the basis Delta * E4^a E6^b."""
     weight = 2 * nu
@@ -276,23 +303,44 @@ def _primes_upto(n: int) -> list[int]:
     return [p for p in range(n + 1) if sieve[p]]
 
 
-def _prime_power_coeffs(at_prime: dict[int, QuadNum], weight: int, top: int) -> dict[int, QuadNum]:
-    """a_f(p^k) for every prime power p^k <= top from the a_f(p), by the
-    Hecke relation a(p^(k+1)) = a(p) a(p^k) - p^(w-1) a(p^(k-1))."""
+def _half_product(p: tuple[int, int], q: tuple[int, int], d: int) -> tuple[int, int]:
+    """The pair of 2ab from the pairs of 2a and 2b, where the pair (x, y)
+    stands for x + y sqrt(d): ((x1 x2 + d y1 y2)/2, (x1 y2 + x2 y1)/2).
+    Both halvings are exact for algebraic integers a and b."""
+    x1, y1 = p
+    x2, y2 = q
+    x = x1 * x2 + d * y1 * y2
+    y = x1 * y2 + x2 * y1
+    if x & 1 or y & 1:
+        raise InternalCancellationError(f"odd product pair ({x}, {y}): a coefficient is not integral")
+    return x >> 1, y >> 1
+
+
+def _prime_power_coeffs(
+    at_prime: dict[int, tuple[int, int]], weight: int, top: int, d: int
+) -> dict[int, tuple[int, int]]:
+    """The pair of 2a_f(p^k) for every prime power p^k <= top from the pairs
+    of 2a_f(p), by the Hecke relation
+    2a(p^(k+1)) = 2a(p) 2a(p^k) / 2 - p^(w-1) 2a(p^(k-1))."""
     out = {}
     for p, a_p in at_prime.items():
-        prev, cur, q = QuadNum(1), a_p, p
+        scale = p ** (weight - 1)
+        prev, cur, q = (2, 0), a_p, p
         out[q] = cur
         while q * p <= top:
-            prev, cur, q = cur, a_p * cur - p ** (weight - 1) * prev, q * p
+            x, y = _half_product(a_p, cur, d)
+            prev, cur, q = cur, (x - scale * prev[0], y - scale * prev[1]), q * p
             out[q] = cur
     return out
 
 
-def _multiplicative_coeff(m: int, primes: list[int], at_power: dict[int, QuadNum]) -> QuadNum:
-    """a_f(m), m >= 1, as the product of a_f(q) over the prime powers q
-    exactly dividing m, found by trial division with ``primes`` (ascending)."""
-    value = QuadNum(1)
+def _multiplicative_coeff(
+    m: int, primes: list[int], at_power: dict[int, tuple[int, int]], d: int
+) -> tuple[int, int]:
+    """The pair of 2a_f(m), m >= 1, as the product of a_f(q) over the prime
+    powers q exactly dividing m, found by trial division with ``primes``
+    (ascending)."""
+    value = (2, 0)
     rest = m
     for p in primes:
         if p * p > rest:
@@ -302,24 +350,34 @@ def _multiplicative_coeff(m: int, primes: list[int], at_power: dict[int, QuadNum
             rest //= p
             q *= p
         if q > 1:
-            value = value * at_power[q]
+            value = _half_product(value, at_power[q], d)
     if rest > 1:
         if rest not in at_power:
             raise InternalCancellationError(
                 f"prime factor {rest} of index {m} lies beyond the tabulated primes"
             )
-        value = value * at_power[rest]
+        value = _half_product(value, at_power[rest], d)
     return value
+
+
+def _integer_coords(coords: tuple[QuadNum, ...]) -> tuple[int, list[int], list[int]]:
+    """(D, u, v) with coords[j] = (u[j] + v[j] sqrt(d)) / D: one denominator."""
+    den = 1
+    for c in coords:
+        den = lcm(den, c.a.denominator, c.b.denominator)
+    return den, [int(c.a * den) for c in coords], [int(c.b * den) for c in coords]
 
 
 @lru_cache(maxsize=8)
 def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     """Embedded coefficient tables covering every index (n^2-1)/24, n <= N.
 
-    The monomial tables reach only N + 1.  Coefficients are assembled
-    exactly in Q(sqrt(d)) from the a_f(p), p <= N + 1, and rounded once at
-    embedding time; every needed index <= N + 1 is also read straight from
-    the tables and must agree with its assembly.
+    The monomial tables reach only N + 1.  Each coefficient a is carried
+    exactly as the integer pair (x, y) with 2a = x + y sqrt(d), assembled
+    from the a_f(p), p <= N + 1, and rounded once at embedding time, to
+    the same float as the exact x/2 + (y/2) sqrt(d) in Q(sqrt(d)); every
+    needed index <= N + 1 is also read straight from the tables and must
+    agree with its assembly.
     """
     if dim_cusp(2 * nu) == 0:
         raise ValueError(f"S_{2*nu} is trivial")
@@ -333,23 +391,31 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
         for a, b in exps
     ]
 
-    def from_tables(c, m: int) -> QuadNum:
-        exact = c[0] * tables[0][m]
-        for j in range(1, len(exps)):
-            exact = exact + c[j] * tables[j][m]
-        return exact
-
     out = []
     for form, c in zip(eigenforms(2 * nu), coords):
-        at_power = _prime_power_coeffs({p: from_tables(c, p) for p in primes}, form.weight, top)
+        d = form.disc
+        den, us, vs = _integer_coords(c)
+
+        def from_tables(m: int) -> tuple[int, int]:
+            x = 2 * sum(u * t[m] for u, t in zip(us, tables))
+            y = 2 * sum(v * t[m] for v, t in zip(vs, tables))
+            if x % den or y % den:
+                raise InternalCancellationError(
+                    f"coefficient {m} of the weight-{form.weight} eigenform is not an algebraic integer"
+                )
+            return x // den, y // den
+
+        at_power = _prime_power_coeffs({p: from_tables(p) for p in primes}, form.weight, top, d)
+        sqrt_d = math.sqrt(d)
         values = {}
         for m in indices:
-            exact = _multiplicative_coeff(m, primes, at_power) if m else QuadNum(0)
-            if m <= top and exact != from_tables(c, m):
+            pair = _multiplicative_coeff(m, primes, at_power, d) if m else (0, 0)
+            if m <= top and pair != from_tables(m):
                 raise InternalCancellationError(
                     f"coefficient {m} of the weight-{form.weight} eigenform breaks Hecke multiplicativity"
                 )
-            values[m] = exact.embed()
+            # int / int rounds once, as float(Fraction(x, 2)) does
+            values[m] = pair[0] / 2 + (pair[1] / 2) * sqrt_d
         out.append(EmbeddedEigenform(form.weight, form.disc, values))
     return tuple(out)
 

@@ -139,7 +139,7 @@ def _squarefree_split(n: int, bound: int = 10**6) -> tuple[int, int]:
     return s, d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def eigenforms(weight: int, prec: int = _EIGEN_PREC) -> tuple[Eigenform, ...]:
     """Normalized Hecke eigenforms of S_weight for dim 1 or 2.
 
@@ -221,7 +221,7 @@ def trace_series(nu: int, n_max: int) -> TraceSeries:
     return TraceSeries(nu, tuple(values))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def eigenform_projections(nu: int) -> tuple[QuadNum, ...]:
     """Exact coefficients gamma_i of the cuspidal part of eta_bracket(nu) in
     the eigenform basis: the solution of sum_i gamma_i a_i(n) = trace(n) for

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -282,3 +283,42 @@ def test_env_and_config_precedence(tmp_path, capsys, monkeypatch):
     # flag beats env
     code, data = run_json(capsys, "--config", str(cfg), "--depth-c", "9", "rademacher", "2")
     assert data["results"][0]["depth"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["partition", "3", "--method", method], "--method")
+        for method in ("trace:x", "trace:", "trace:1", "rademacher:0", "foo")
+    ]
+    + [(["partition", "0", "--method", "trace:6"], "argument n")],
+)
+def test_bad_partition_method_exits_2(capsys, argv, named):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named in captured.err and "Traceback" not in captured.err
+    if named == "--method":
+        assert "trace:NU" in captured.err and "rademacher:C" in captured.err
+    else:
+        assert "n_max" not in captured.err
+
+
+def test_nonintegral_eigenform_coordinate_exits_3(capsys, monkeypatch):
+    real = dmod._eigenform_monomial_coords
+
+    def perturbed(nu):
+        exps, coords = real(nu)
+        first = (coords[0][0] + Fraction(1, 7),) + coords[0][1:]
+        return exps, (first,) + coords[1:]
+
+    monkeypatch.setattr(dmod, "_eigenform_monomial_coords", perturbed)
+    dmod.embedded_eigenforms.cache_clear()
+    try:
+        code = main(["--big-m", "0", "--big-n", "61", "dirichlet", "12"])
+    finally:
+        dmod.embedded_eigenforms.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "internal assertion failed" in captured.err and "not an algebraic integer" in captured.err
+    assert "Traceback" not in captured.err

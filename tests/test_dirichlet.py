@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from math import gcd
 
 import mpmath
@@ -9,6 +10,8 @@ from pentarc._coeffs import cusp_monomial_coeffs
 from pentarc.dirichlet import (
     DEFAULT_BIG_M,
     _eigenform_monomial_coords,
+    _float_weights,
+    _half_product,
     _multiplicative_coeff,
     _prime_power_coeffs,
     default_big_n,
@@ -162,27 +165,42 @@ def _neumaier_sum(values) -> float:
     return total + comp
 
 
+def _partial_reference(f, N, s):
+    """The partial sum over every n, zero terms included."""
+    return _neumaier_sum(
+        kronecker12(n) * f.a_float((n * n - 1) // 24) * float(n) ** (-s)
+        for n in range(1, N + 1)
+        if kronecker12(n)
+    )
+
+
 def _double_sum_reference(f, nu, M, N, dps=None):
     """Every (j, m) evaluates its weight from scratch and its partial sum
     over every n, zero terms included."""
-
-    def partial(s):
-        return _neumaier_sum(
-            kronecker12(n) * f.a_float((n * n - 1) // 24) * float(n) ** (-s)
-            for n in range(1, N + 1)
-            if kronecker12(n)
-        )
-
     return _neumaier_sum(
-        dirichlet_weight_float(nu, j, m, dps) * partial(2 * nu + 1 + 2 * m + 2 * j)
+        dirichlet_weight_float(nu, j, m, dps) * _partial_reference(f, N, 2 * nu + 1 + 2 * m + 2 * j)
         for j in range(nu - 1)
         for m in range(M + 1)
     )
 
 
+def test_partial_matches_reference_through_underflow():
+    # 5^(-s) leaves the normal range at s = 441 and underflows to 0.0 at
+    # s = 463, so these exponents cover every term kept, a tail stopped
+    # early, subnormal first terms and an all-zero sum
+    for nu, N in ((6, 120), (12, 80)):
+        for f in embedded_eigenforms(nu, N):
+            for s in range(2 * nu + 1, 480):
+                assert dirichlet_partial(f, N, s) == _partial_reference(f, N, s), (nu, s)
+
+
 @pytest.mark.parametrize("dps", [None, 30])
 def test_double_sum_matches_reference_loop(dps):
-    for nu, M, N in ((6, 7, 60), (12, 5, 40), (9, 0, 25)):
+    # at M = 100, n^(-s) underflows to 0.0 within n <= N for the largest s,
+    # so these cases pin the partial sums' early stop against every term
+    for nu, M, N in ((6, 7, 60), (12, 5, 40), (9, 0, 25), (6, 100, 120), (12, 100, 80)):
+        if M == 100:
+            assert float(N - 1) ** -(2 * nu + 1 + 2 * M + 2 * (nu - 2)) == 0.0
         for f in embedded_eigenforms(nu, N):
             assert dirichlet_double_sum(f, nu, M, N, dps) == _double_sum_reference(f, nu, M, N, dps)
 
@@ -196,6 +214,16 @@ def test_default_double_sums_pinned():
         N = default_big_n(nu)
         got = [repr(dirichlet_double_sum(f, nu, DEFAULT_BIG_M, N)) for f in embedded_eigenforms(nu, N)]
         assert got == values
+
+
+def test_scale_double_sums_pinned():
+    # below the 1e-5 and 1e-9 tolerances of the acceptance targets
+    (f,) = embedded_eigenforms(6, 10000)
+    assert repr(dirichlet_double_sum(f, 6, DEFAULT_BIG_M, 10000)) == "-49.608244425281754"
+    (f,) = embedded_eigenforms(6, default_big_n(6))
+    assert repr(dirichlet_double_sum(f, 6, DEFAULT_BIG_M, default_big_n(6), 30)) == "-49.608381993955916"
+    est = petersson_norm_estimate(14)
+    assert [repr(v) for v in est.double_sums] == ["-3.679297814782367e+16", "-5.850346111210148e+16"]
 
 
 def _embedded_full_range(nu, N):
@@ -227,16 +255,52 @@ def test_embedded_matches_full_range_tables():
 
 
 def test_hecke_assembly():
+    # pairs (x, y) stand for 2a = x + y sqrt(d); Delta is rational, d = 1
     d = delta(40)
-    at_prime = {2: QuadNum(-24), 3: QuadNum(252), 5: QuadNum(4830), 7: QuadNum(-16744)}
-    at_power = _prime_power_coeffs(at_prime, 12, 39)
+    at_prime = {2: (-48, 0), 3: (504, 0), 5: (9660, 0), 7: (-33488, 0)}
+    at_power = _prime_power_coeffs(at_prime, 12, 39, 1)
     assert sorted(at_power) == [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
     for m in range(1, 40):
         if m in (11, 13, 17, 19, 22, 23, 26, 29, 31, 33, 34, 37, 38, 39):
             with pytest.raises(InternalCancellationError):
-                _multiplicative_coeff(m, list(at_prime), at_power)  # prime factor not tabulated
+                _multiplicative_coeff(m, list(at_prime), at_power, 1)  # prime factor not tabulated
         else:
-            assert _multiplicative_coeff(m, list(at_prime), at_power) == QuadNum(d.coeff(m)), m
+            assert _multiplicative_coeff(m, list(at_prime), at_power, 1) == (2 * d.coeff(m), 0), m
+
+
+def test_hecke_assembly_quadratic():
+    for f in eigenforms(24):
+        pairs = [(int(2 * a.a), int(2 * a.b)) for a in f.coeffs]
+        primes = [2, 3, 5, 7, 11, 13]
+        at_power = _prime_power_coeffs({p: pairs[p] for p in primes}, 24, 15, f.disc)
+        for m in range(1, 16):
+            assert _multiplicative_coeff(m, primes, at_power, f.disc) == pairs[m], m
+
+
+def test_half_product_matches_quadnum():
+    rng = random.Random(7)
+    d = 144169
+
+    def pair():
+        # x = y mod 2 keeps (x + y sqrt(d))/2 an algebraic integer for d = 1 mod 4
+        parity = rng.randrange(2)
+        return tuple(2 * rng.randrange(-10**6, 10**6) + parity for _ in range(2))
+
+    for _ in range(200):
+        p, q = pair(), pair()
+        a, b = (QuadNum(Fraction(x, 2), Fraction(y, 2), d) for x, y in (p, q))
+        exact = a * b
+        assert _half_product(p, q, d) == (2 * exact.a, 2 * exact.b)
+    with pytest.raises(InternalCancellationError):
+        _half_product((1, 0), (1, 0), d)  # (1/2)^2 is not an algebraic integer
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [embedded_eigenforms, _eigenform_monomial_coords, _float_weights, eigenforms, eigenform_projections],
+)
+def test_petersson_path_caches_are_bounded(cached):
+    assert isinstance(cached.cache_info().maxsize, int)
 
 
 def test_double_sum_converges_in_n(delta_table_2000):
