@@ -33,6 +33,10 @@ from .serialize import jsonable
 
 ENV_PREFIX = "PENTARC_"
 FORMATS = ("json", "csv", "text")
+#: largest weight index nu accepted (``pnu``, ``trace``, ``gpoly`` and
+#: ``--method trace:NU``): at 200, ``pnu`` takes about 5 s and
+#: ``partition 3 --method trace:200`` about 1 s, both growing faster than nu^2
+MAX_NU = 200
 
 
 @dataclass(frozen=True)
@@ -174,21 +178,33 @@ def _int_range(text: str) -> range:
     return out
 
 
+def _nu(text: str) -> int:
+    """A weight index nu, at most MAX_NU (argparse type); the commands
+    check the lower bound."""
+    try:
+        nu = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if nu > MAX_NU:
+        raise argparse.ArgumentTypeError(f"nu must be at most {MAX_NU}, got {nu}")
+    return nu
+
+
 def _parse_method(method: str) -> tuple[str, int]:
-    """--method as (kind, integer): ("euler", 0), ("trace", NU) with NU >= 2
-    or ("rademacher", C) with C >= 1."""
+    """--method as (kind, integer): ("euler", 0), ("trace", NU) with
+    2 <= NU <= MAX_NU or ("rademacher", C) with 1 <= C <= MAX_DEPTH_C."""
     if method == "euler":
         return "euler", 0
     kind, _, raw = method.partition(":")
-    least = {"trace": 2, "rademacher": 1}.get(kind)
+    bounds = {"trace": (2, MAX_NU), "rademacher": (1, rademacher.MAX_DEPTH_C)}.get(kind)
     try:
         value = int(raw)
     except ValueError:
         value = None
-    if least is None or value is None or value < least:
+    if bounds is None or value is None or not bounds[0] <= value <= bounds[1]:
         raise ValueError(
-            "--method must be euler, trace:NU with integer NU >= 2 or rademacher:C with "
-            f"integer C >= 1, got {method!r}"
+            f"--method must be euler, trace:NU with integer NU in 2..{MAX_NU} or rademacher:C "
+            f"with integer C in 1..{rademacher.MAX_DEPTH_C}, got {method!r}"
         )
     return kind, value
 
@@ -301,6 +317,8 @@ def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_rademacher(args, cfg: RunConfig) -> tuple[dict, int]:
+    if not 1 <= cfg.depth_c <= rademacher.MAX_DEPTH_C:
+        raise ValueError(f"--depth-c must lie in 1..{rademacher.MAX_DEPTH_C}, got {cfg.depth_c}")
     results = []
     for n in args.n:
         est = rademacher.rademacher_pn(n, cfg.depth_c)
@@ -337,7 +355,10 @@ def _shared_options() -> argparse.ArgumentParser:
         "--big-n", dest="big_n", type=int, default=S,
         help=f"Dirichlet n-truncation, 1..{dmod.MAX_BIG_N}",
     )
-    shared.add_argument("--depth-c", dest="depth_c", type=int, default=S, help="Kloosterman depth C")
+    shared.add_argument(
+        "--depth-c", dest="depth_c", type=int, default=S,
+        help=f"Kloosterman depth C, 1..{rademacher.MAX_DEPTH_C}",
+    )
     shared.add_argument(
         "--float-mode", dest="float_mode", default=S,
         help="binary64 (default) or wide:<dps>, dps >= 15, for mpmath weight evaluation",
@@ -368,17 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = add("pnu", "eta bracket with its exact decomposition")
-    p.add_argument("nu", type=int)
+    p.add_argument("nu", type=_nu)
     p.set_defaults(func=cmd_pnu)
 
     p = add("gpoly", "recurrence weight polynomial values")
-    p.add_argument("nu", type=int)
+    p.add_argument("nu", type=_nu)
     p.add_argument("n", type=int)
     p.add_argument("--k", type=_int_range, default=range(1), help="index or inclusive range a..b")
     p.set_defaults(func=cmd_gpoly)
 
     p = add("trace", "exact trace values 1..N")
-    p.add_argument("nu", type=int)
+    p.add_argument("nu", type=_nu)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_trace)
 

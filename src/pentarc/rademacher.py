@@ -14,11 +14,17 @@ double coset Gamma_inf\\SL2(Z)/Gamma_inf with lower-left entry c: d in
 or d by c multiplies the multiplier by exp(pi i/12) and moves the phase by
 (m + 24)/24 or (n + 24)/24 of a turn, so for m, n divisible by 24 every
 representative of a coset carries the same summand.  I_{3/2} has the
-elementary closed form sqrt(2/(pi x)) (cosh x - sinh x / x).  Each K_c is
-a sequential complex sum of its at most c terms (plain Python: at this
-size a vector library costs more per call than it saves).  Partial sums
-over c <= C round to p(n); the residual imaginary part is reported, never
-discarded.
+elementary closed form sqrt(2/(pi x)) (cosh x - sinh x / x).
+
+The Kloosterman layer is a table.  A phase numerator depends on m and n
+only mod 24c, and with n a multiple of 24 so does K_c only on n mod c:
+each K_c is a sequential complex sum of its phi(c) terms, computed once per
+(c, m mod 24c, n mod 24c), and for c <= 50 each phase exp(2 pi i r / (24c))
+is computed once per (c, r), so a warm pass evaluates no Kloosterman sum.
+Both tables are bounded LRU caches; the values are the same floats, bit for
+bit, as a fresh per-call sum in the same row order.
+Partial sums over c <= C round to p(n); the residual imaginary part is
+reported, never discarded.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .errors import PrecisionError
 __all__ = [
     "CUSP_WIDTH",
     "CUSP_PARAMETER",
+    "MAX_DEPTH_C",
     "Root24",
     "eta_multiplier",
     "KloostermanSum",
@@ -46,6 +53,10 @@ __all__ = [
 
 CUSP_WIDTH = 24
 CUSP_PARAMETER = 23
+#: largest Rademacher depth C the CLI accepts (``--depth-c`` and
+#: ``--method rademacher:C``); the coset rows of every c <= C take about
+#: 50 MB at C = 1000, and memory grows as C^2
+MAX_DEPTH_C = 1000
 
 
 class Root24:
@@ -115,7 +126,7 @@ class KloostermanSum:
     term_count: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_DEPTH_C)
 def _pair_data(c: int) -> tuple[tuple[int, int, int, int], ...]:
     """Per-c coset rows (sign, multiplier exponent e, a, d).
 
@@ -141,6 +152,37 @@ def _phase_numerators(c: int, m: int, n: int) -> list[tuple[int, int]]:
     return [(sign, (e * c + mk * a + nk * d) % (24 * c)) for sign, e, a, d in _pair_data(c)]
 
 
+# Phases are tabled for c <= 50, the default depth: all 12 c (c + 1) =
+# 30,600 of them fit, so no n range evicts one.  Beyond, the distinct phases
+# of a walk over n outgrow any bounded table, an LRU table misses on every
+# lookup, and each phase is computed in the sum instead.
+_PHASE_TABLE_C = 50
+
+
+@lru_cache(maxsize=12 * _PHASE_TABLE_C * (_PHASE_TABLE_C + 1))
+def _phase(c: int, r: int) -> complex:
+    """exp(2 pi i r / (24c))."""
+    return cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
+
+
+# Holds K_c(m, .) for one m and every n mod c of every c <= 255 (32,640
+# entries), or a walk over c <= MAX_DEPTH_C for each of 32 values of n.
+@lru_cache(maxsize=1 << 15)
+def _kloosterman_sum(c: int, m: int, n: int) -> KloostermanSum:
+    """K_c summed in coset-row order; m and n reduced mod 24c."""
+    terms = _phase_numerators(c, m, n)
+    value = 0j
+    if c <= _PHASE_TABLE_C:
+        for sign, r in terms:
+            value += sign * _phase(c, r)
+    else:
+        # _phase's expression inline: a call per term adds about a tenth
+        # to a walk to MAX_DEPTH_C
+        for sign, r in terms:
+            value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
+    return KloostermanSum(c, value, len(terms))
+
+
 def kloosterman(c: int, m: int, n: int) -> KloostermanSum:
     """Multiplier-weighted Kloosterman sum at lower-left entry c.
 
@@ -151,11 +193,8 @@ def kloosterman(c: int, m: int, n: int) -> KloostermanSum:
         raise ValueError("c must be >= 1")
     if m % CUSP_WIDTH or n % CUSP_WIDTH:
         raise ValueError("m and n must be divisible by 24")
-    terms = _phase_numerators(c, m, n)
-    value = 0j
-    for sign, r in terms:
-        value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
-    return KloostermanSum(c, value, len(terms))
+    period = CUSP_WIDTH * c
+    return _kloosterman_sum(c, m % period, n % period)
 
 
 def bessel_i32(x: float) -> float:

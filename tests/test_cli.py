@@ -9,7 +9,8 @@ import pytest
 import pentarc
 from pentarc import dirichlet as dmod
 from pentarc import partitions
-from pentarc.cli import main
+from pentarc.cli import MAX_NU, main
+from pentarc.rademacher import MAX_DEPTH_C
 
 
 def run_cli(capsys, *argv):
@@ -289,7 +290,10 @@ def test_env_and_config_precedence(tmp_path, capsys, monkeypatch):
     "argv, named",
     [
         (["partition", "3", "--method", method], "--method")
-        for method in ("trace:x", "trace:", "trace:1", "rademacher:0", "foo")
+        for method in (
+            "trace:x", "trace:", "trace:1", "rademacher:0", "foo",
+            f"trace:{MAX_NU + 1}", f"rademacher:{MAX_DEPTH_C + 1}",
+        )
     ]
     + [(["partition", "0", "--method", "trace:6"], "argument n")],
 )
@@ -302,6 +306,27 @@ def test_bad_partition_method_exits_2(capsys, argv, named):
         assert "trace:NU" in captured.err and "rademacher:C" in captured.err
     else:
         assert "n_max" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["pnu", "X"], ["trace", "X", "5"], ["gpoly", "X", "1"]])
+def test_nu_above_ceiling_exits_2(capsys, argv):
+    argv = [str(MAX_NU + 1) if a == "X" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument nu" in captured.err and f"at most {MAX_NU}" in captured.err
+
+
+@pytest.mark.parametrize("depth", [0, MAX_DEPTH_C + 1])
+def test_depth_c_outside_domain_exits_2(capsys, monkeypatch, depth):
+    for argv, env in ((["--depth-c", str(depth), "rademacher", "3"], None), (["rademacher", "3"], str(depth))):
+        if env is not None:
+            monkeypatch.setenv("PENTARC_DEPTH_C", env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--depth-c must lie in 1..{MAX_DEPTH_C}, got {depth}" in captured.err
 
 
 def test_nonintegral_eigenform_coordinate_exits_3(capsys, monkeypatch):

@@ -7,18 +7,28 @@ from functools import cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentarc import rademacher
 from pentarc.partitions import partition_table
 from pentarc.rademacher import (
+    _PHASE_TABLE_C,
     CUSP_PARAMETER,
+    MAX_DEPTH_C,
+    KloostermanSum,
     Root24,
+    _kloosterman_sum,
+    _pair_data,
+    _phase,
     _phase_numerators,
     bessel_i32,
     eta_multiplier,
     kloosterman,
     rademacher_pn,
 )
+
+TABLES = (_pair_data, _phase, _kloosterman_sum)
 
 
 def random_sl2(rng, c_bound=None):
@@ -172,6 +182,71 @@ def test_kloosterman_times_lifts_is_the_literal_sum():
             literal = sum(s * cmath.exp(2j * math.pi * r / (24 * c)) for s, r in terms)
             value = kloosterman(c, -24, idx).value
             assert abs(LIFTS * value - literal) <= 1e-12 * len(terms), (c, idx, value, literal)
+
+
+def kloosterman_per_term(c, m, n):
+    """Reference: every coset's phase computed afresh, summed in row order."""
+    terms = _phase_numerators(c, m, n)
+    value = 0j
+    for sign, r in terms:
+        value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
+    return KloostermanSum(c, value, len(terms))
+
+
+def _hex(k):
+    return k.value.real.hex(), k.value.imag.hex(), k.term_count
+
+
+def _clear_tables():
+    for table in TABLES:
+        table.cache_clear()
+
+
+def test_kloosterman_table_is_bitwise_the_per_term_sum():
+    """Both sides of the phase table's cut at c = 50, and n beyond 24c."""
+    _clear_tables()
+    ms = (-24, 0, 24 * 77)
+    ns = (0, 24, 24 * 235, 24 * 999, 24 * 76799)
+    for c in range(1, 121):
+        for m in ms:
+            for n in ns:
+                assert _hex(kloosterman(c, m, n)) == _hex(kloosterman_per_term(c, m, n)), (c, m, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 120), st.integers(-500, 500), st.integers(-5000, 5000), st.integers(-3, 3))
+def test_kloosterman_has_period_24c_in_n(c, m24, n24, shift):
+    """Bit for bit, and (m, n) and (m, n + 24c) share one table entry."""
+    m, n = 24 * m24, 24 * n24
+    moved = kloosterman_per_term(c, m, n + 24 * c * shift)
+    assert _hex(kloosterman(c, m, n)) == _hex(moved)
+    assert kloosterman(c, m, n + 24 * c * shift) is kloosterman(c, m, n)
+
+
+def test_rademacher_pn_is_the_same_cold_warm_and_per_term(monkeypatch):
+    cases = [(n, 50) for n in (1, 50, 236, 247, 248, 250, 300, 1000, 5000)] + [(300, 120)]
+    with monkeypatch.context() as patch:
+        patch.setattr(rademacher, "kloosterman", kloosterman_per_term)
+        reference = [rademacher_pn(n, depth) for n, depth in cases]
+    _clear_tables()
+    cold = [rademacher_pn(n, depth) for n, depth in cases]
+    warm = [rademacher_pn(n, depth) for n, depth in cases]
+    assert cold == warm == reference
+
+
+def test_rademacher_tables_are_bounded_and_hold_a_walk():
+    """Bounded, with room for every coset row up to MAX_DEPTH_C, every
+    phase of c <= 50 and a K_c per c of a walk to MAX_DEPTH_C; a repeated
+    default-depth range misses nowhere."""
+    assert _pair_data.cache_info().maxsize >= MAX_DEPTH_C
+    assert _phase.cache_info().maxsize >= 12 * _PHASE_TABLE_C * (_PHASE_TABLE_C + 1)
+    assert _kloosterman_sum.cache_info().maxsize >= MAX_DEPTH_C
+    for n in range(1, 61):
+        rademacher_pn(n, 50)
+    misses = [table.cache_info().misses for table in TABLES]
+    for n in range(1, 61):
+        rademacher_pn(n, 50)
+    assert [table.cache_info().misses for table in TABLES] == misses
 
 
 def test_kloosterman_term_count_is_phi():
