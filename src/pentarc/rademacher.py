@@ -19,10 +19,9 @@ elementary closed form sqrt(2/(pi x)) (cosh x - sinh x / x).
 The Kloosterman layer is a table.  A phase numerator depends on m and n
 only mod 24c, and with n a multiple of 24 so does K_c only on n mod c:
 each K_c is a sequential complex sum of its phi(c) terms, computed once per
-(c, m mod 24c, n mod 24c), and for c <= 50 each phase exp(2 pi i r / (24c))
-is computed once per (c, r), so a warm pass evaluates no Kloosterman sum.
-Both tables are bounded LRU caches; the values are the same floats, bit for
-bit, as a fresh per-call sum in the same row order.
+(c, m mod 24c, n mod 24c) in a bounded LRU cache, so a warm pass evaluates
+no Kloosterman sum.  The values are the same floats, bit for bit, as a
+fresh per-call sum in the same row order.
 Partial sums over c <= C round to p(n); the residual imaginary part is
 reported, never discarded.
 """
@@ -152,19 +151,6 @@ def _phase_numerators(c: int, m: int, n: int) -> list[tuple[int, int]]:
     return [(sign, (e * c + mk * a + nk * d) % (24 * c)) for sign, e, a, d in _pair_data(c)]
 
 
-# Phases are tabled for c <= 50, the default depth: all 12 c (c + 1) =
-# 30,600 of them fit, so no n range evicts one.  Beyond, the distinct phases
-# of a walk over n outgrow any bounded table, an LRU table misses on every
-# lookup, and each phase is computed in the sum instead.
-_PHASE_TABLE_C = 50
-
-
-@lru_cache(maxsize=12 * _PHASE_TABLE_C * (_PHASE_TABLE_C + 1))
-def _phase(c: int, r: int) -> complex:
-    """exp(2 pi i r / (24c))."""
-    return cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
-
-
 # Holds K_c(m, .) for one m and every n mod c of every c <= 255 (32,640
 # entries), or a walk over c <= MAX_DEPTH_C for each of 32 values of n.
 @lru_cache(maxsize=1 << 15)
@@ -172,14 +158,8 @@ def _kloosterman_sum(c: int, m: int, n: int) -> KloostermanSum:
     """K_c summed in coset-row order; m and n reduced mod 24c."""
     terms = _phase_numerators(c, m, n)
     value = 0j
-    if c <= _PHASE_TABLE_C:
-        for sign, r in terms:
-            value += sign * _phase(c, r)
-    else:
-        # _phase's expression inline: a call per term adds about a tenth
-        # to a walk to MAX_DEPTH_C
-        for sign, r in terms:
-            value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
+    for sign, r in terms:
+        value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
     return KloostermanSum(c, value, len(terms))
 
 

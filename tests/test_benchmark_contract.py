@@ -46,11 +46,11 @@ def test_hit_ratio_functions_are_traced_caches(layers):
         assert hasattr(_resolve(modname, name), "cache_info"), (layer, name)
 
 
-def test_kloosterman_terms_counter_reads_phi(layers):
-    from pentarc.rademacher import kloosterman
-
-    count = layers._work_counters("rademacher", "kloosterman", kloosterman)
+def test_traced_kloosterman_term_count_is_phi(layers):
+    """The tracer reads ``term_count`` off the traced ``kloosterman``."""
+    modname, names = layers.LAYERS["rademacher"]
+    assert "kloosterman" in names
+    kloosterman = _resolve(modname, "kloosterman")
     for c in (1, 2, 12, 49, 50, 51, 120):
         phi = sum(1 for d in range(c) if gcd(d, c) == 1)
-        args = (c, -24, 24 * 235)
-        assert count(args, {}, kloosterman(*args)) == (("rademacher.kloosterman_terms", phi),), c
+        assert kloosterman(c, -24, 24 * 235).term_count == phi, c

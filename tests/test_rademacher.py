@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from pentarc import rademacher
 from pentarc.partitions import partition_table
 from pentarc.rademacher import (
-    _PHASE_TABLE_C,
     CUSP_PARAMETER,
     MAX_DEPTH_C,
     KloostermanSum,
     Root24,
     _kloosterman_sum,
     _pair_data,
-    _phase,
     _phase_numerators,
     bessel_i32,
     eta_multiplier,
@@ -28,7 +26,7 @@ from pentarc.rademacher import (
     rademacher_pn,
 )
 
-TABLES = (_pair_data, _phase, _kloosterman_sum)
+TABLES = (_pair_data, _kloosterman_sum)
 
 
 def random_sl2(rng, c_bound=None):
@@ -203,7 +201,7 @@ def _clear_tables():
 
 
 def test_kloosterman_table_is_bitwise_the_per_term_sum():
-    """Both sides of the phase table's cut at c = 50, and n beyond 24c."""
+    """c up to 120, past the default depth, and n beyond 24c."""
     _clear_tables()
     ms = (-24, 0, 24 * 77)
     ns = (0, 24, 24 * 235, 24 * 999, 24 * 76799)
@@ -235,11 +233,10 @@ def test_rademacher_pn_is_the_same_cold_warm_and_per_term(monkeypatch):
 
 
 def test_rademacher_tables_are_bounded_and_hold_a_walk():
-    """Bounded, with room for every coset row up to MAX_DEPTH_C, every
-    phase of c <= 50 and a K_c per c of a walk to MAX_DEPTH_C; a repeated
-    default-depth range misses nowhere."""
+    """Bounded, with room for every coset row up to MAX_DEPTH_C and a K_c
+    per c of a walk to MAX_DEPTH_C; a repeated default-depth range misses
+    nowhere."""
     assert _pair_data.cache_info().maxsize >= MAX_DEPTH_C
-    assert _phase.cache_info().maxsize >= 12 * _PHASE_TABLE_C * (_PHASE_TABLE_C + 1)
     assert _kloosterman_sum.cache_info().maxsize >= MAX_DEPTH_C
     for n in range(1, 61):
         rademacher_pn(n, 50)
