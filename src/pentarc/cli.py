@@ -37,6 +37,13 @@ FORMATS = ("json", "csv", "text")
 #: ``--method trace:NU``): at 200, ``pnu`` takes about 5 s and
 #: ``partition 3 --method trace:200`` about 1 s, both growing faster than nu^2
 MAX_NU = 200
+#: ceilings on |n| and |k| for ``gpoly``, whose value (``partitions.recurrence_weight``)
+#: has a numerator at most |numerator of pref(nu)/(2nu)!| * sum |w_j| * (24|n| + (6k+1)^2)^nu.
+#: At nu = MAX_NU, the worst nu, the first two factors are below 10^116 and 10^123 and the
+#: base below 10^19.8, so every value has at most 4199 digits, inside Python's 4300-digit
+#: limit on printing an int
+MAX_GPOLY_N = 10**18
+MAX_GPOLY_K = 10**9
 
 
 @dataclass(frozen=True)
@@ -156,14 +163,20 @@ def _render(payload: dict, fmt: str) -> str:
 
 def _emit(payload: dict, cfg: RunConfig) -> None:
     text = _render(payload, cfg.fmt)
-    if cfg.out:
-        try:
+    try:
+        if cfg.out:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if cfg.out:
             raise ValueError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+        # the reader is gone (a closed pipe): send what stdout still buffers,
+        # and the flush at interpreter exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write output: {exc.strerror or exc}") from None
 
 
 def _int_range(text: str) -> range:
@@ -275,6 +288,10 @@ def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_gpoly(args, cfg: RunConfig) -> tuple[dict, int]:
+    if abs(args.n) > MAX_GPOLY_N:
+        raise ValueError(f"argument n: |n| must be at most {MAX_GPOLY_N}, got {args.n}")
+    if max(-args.k[0], args.k[-1]) > MAX_GPOLY_K:
+        raise ValueError(f"argument --k: |k| must be at most {MAX_GPOLY_K}, got {args.k[0]}..{args.k[-1]}")
     results = [
         {"nu": args.nu, "n": args.n, "k": k, "value": partitions.recurrence_weight(args.nu, args.n, k)}
         for k in args.k

@@ -277,7 +277,7 @@ def _eigenform_monomial_coords(nu: int) -> tuple[tuple[tuple[int, int], ...], tu
     exps = tuple(_monomial_exponents(weight - 12))
     dim = len(exps)
     prec = dim + 6
-    basis = [cusp_monomial_coeffs(1, a, b, tuple(range(prec)), prec - 1) for a, b in exps]
+    basis = [cusp_monomial_coeffs(a, b, tuple(range(prec)), prec - 1) for a, b in exps]
     coords = []
     for f in eigenforms(weight):
         # solve sum_j c_j basis_j[n] = a_f(n) for n = 1..dim, then verify
@@ -386,10 +386,7 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     primes = _primes_upto(top)
     direct = sorted(set(primes).union(m for m in indices if m <= top))
     exps, coords = _eigenform_monomial_coords(nu)
-    tables = [
-        dict(zip(direct, cusp_monomial_coeffs(1, a, b, tuple(direct), top)))
-        for a, b in exps
-    ]
+    tables = [dict(zip(direct, cusp_monomial_coeffs(a, b, tuple(direct), top))) for a, b in exps]
 
     out = []
     for form, c in zip(eigenforms(2 * nu), coords):

@@ -31,9 +31,6 @@ __all__ = [
     "decompose",
 ]
 
-#: weight -> (a, b) with Delta * E4^a * E6^b spanning the cusp space
-_DIM1_MONOMIAL = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
-
 
 @lru_cache(maxsize=None)
 def eisenstein(w: int, prec: int) -> IntQSeries:
@@ -67,12 +64,13 @@ def cusp_generator(weight: int, prec: int) -> IntQSeries:
     E4^a E6^b monomial of weight (weight - 12); leading coefficient 1 at q.
     Exact through q^(prec-1), read from the ``_coeffs`` monomial table.
     """
-    if weight not in _DIM1_MONOMIAL:
+    exps = _monomial_exponents(weight - 12)
+    if len(exps) != 1:
         raise ValueError(f"weight {weight} does not have a 1-dimensional cusp space")
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    a, b = _DIM1_MONOMIAL[weight]
-    return IntQSeries._make(1, cusp_monomial_coeffs(1, a, b, tuple(range(1, prec)), prec - 1))
+    ((a, b),) = exps
+    return IntQSeries._make(1, cusp_monomial_coeffs(a, b, tuple(range(1, prec)), prec - 1))
 
 
 def _monomial_exponents(weight: int) -> list[tuple[int, int]]:

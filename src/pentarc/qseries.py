@@ -7,6 +7,13 @@ data.  Products, inversion and derivatives run as integer kernels; the one
 denominator is multiplied and reduced once per operation, never per
 coefficient.  The accessors ``coeff``/``coeff24`` return ``Fraction``s.
 
+``_convolve`` is the package's one integer product.  If the sparser operand
+is at most a quarter nonzero (pentagonal series, Jacobi's cube, series on
+the 1/24 grid) it multiplies only the nonzero pairs.  Otherwise it packs
+each operand into one integer, k bytes per coefficient, and multiplies the
+two (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009), with k
+sized from the operands so that the packed product is exact for any data.
+
 Two grids share this storage and one precision discipline:
 
 * ``IntQSeries`` on integer exponents: ``coeffs[i]`` multiplies
@@ -29,6 +36,7 @@ general Rankin-Cohen bracket and the checks that cross-validate it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -40,16 +48,49 @@ from .errors import InternalCancellationError, PrecisionError
 DEFAULT_PREC = 60
 
 
+def _bias_run(k: int, length: int) -> int:
+    """The packed list holding the bias 2^(8k-1) in each of ``length`` slots."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * length, "little")
+
+
+def _pack(coeffs: Sequence[int], k: int) -> int:
+    """sum coeffs[i] 2^(8k i); each |coeffs[i]| must be below 2^(8k-1)."""
+    bias = 1 << (8 * k - 1)
+    raw = b"".join((c + bias).to_bytes(k, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _bias_run(k, len(coeffs))
+
+
+def _unpack(x: int, k: int, length: int) -> list[int]:
+    """The first ``length`` slots of x as a list of signed ints."""
+    raw = ((x + _bias_run(k, length)) & ((1 << (8 * k * length)) - 1)).to_bytes(k * length, "little")
+    bias = 1 << (8 * k - 1)
+    return [int.from_bytes(raw[i : i + k], "little") - bias for i in range(0, k * length, k)]
+
+
 def _convolve(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
-    """Truncated Cauchy product of integer lists; the sparser operand drives the outer loop."""
-    if sum(map(bool, a)) > sum(map(bool, b)):
+    """Truncated Cauchy product of integer lists (see the module docstring).
+
+    Every product coefficient is a sum of at most out_len terms, each below
+    2^(bits max|a| + bits max|b|), so it fits a slot of that many bits plus
+    bits(out_len) and a sign bit.
+    """
+    square = a is b
+    a, b = a[:out_len], b[:out_len]
+    na, nb = sum(map(bool, a)), sum(map(bool, b))
+    if 4 * min(na, nb) > out_len:
+        bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + out_len.bit_length()
+        k = (bits + 8) // 8
+        pa = _pack(a, k)
+        return _unpack(pa * (pa if square else _pack(b, k)), k, out_len)
+    if na > nb:
         a, b = b, a
+    idx = [j for j, bj in enumerate(b) if bj]
+    terms = [(j, b[j]) for j in idx]
     out = [0] * out_len
-    for i, ai in enumerate(a[:out_len]):
+    for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b[: out_len - i], i):
-                if bj:
-                    out[j] += ai * bj
+            for j, bj in terms[: bisect_left(idx, out_len - i)]:
+                out[i + j] += ai * bj
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 import pentarc
 from pentarc import dirichlet as dmod
 from pentarc import partitions
-from pentarc.cli import MAX_NU, main
+from pentarc.cli import MAX_GPOLY_K, MAX_GPOLY_N, MAX_NU, main
 from pentarc.rademacher import MAX_DEPTH_C
 
 
@@ -159,8 +159,8 @@ def test_big_n_out_of_range_exits_2(capsys, big_n):
 def test_corrupt_monomial_table_exits_3(capsys, monkeypatch):
     real = dmod.cusp_monomial_coeffs
 
-    def corrupted(dp, a4, b6, indices, mmax):
-        values = real(dp, a4, b6, indices, mmax)
+    def corrupted(a4, b6, indices, mmax):
+        values = real(a4, b6, indices, mmax)
         return [v + 1 if m == 2 else v for m, v in zip(indices, values)]
 
     monkeypatch.setattr(dmod, "cusp_monomial_coeffs", corrupted)
@@ -317,6 +317,47 @@ def test_nu_above_ceiling_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "argument nu" in captured.err and f"at most {MAX_NU}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gpoly", str(MAX_NU), str(-MAX_GPOLY_N - 1)], "argument n"),
+        (["gpoly", str(MAX_NU), "1", "--k", f"{MAX_GPOLY_K}..{MAX_GPOLY_K + 1}"], "argument --k"),
+        (["gpoly", str(MAX_NU), "1", f"--k={-MAX_GPOLY_K - 1}..{-MAX_GPOLY_K}"], "argument --k"),
+    ],
+)
+def test_gpoly_argument_above_ceiling_exits_2(capsys, argv, named):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"pentarc: {named}: |" in captured.err and "at most" in captured.err
+
+
+def test_gpoly_at_its_ceilings_prints_every_digit(capsys):
+    code, data = run_json(
+        capsys, "gpoly", str(MAX_NU), str(-MAX_GPOLY_N), f"--k={-MAX_GPOLY_K}..{-MAX_GPOLY_K}"
+    )
+    assert code == 0 and len(data["results"][0]["value"]) > 4000
+
+
+@pytest.mark.parametrize("n", ["3", "1..3000"])  # output inside and beyond stdout's buffer
+def test_closed_stdout_exits_2_without_traceback(n):
+    # stdout block-buffered, as on a plain pipe, so the flush at exit is exercised too
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pentarc.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pentarc.cli", "partition", n],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("pentarc: cannot write output: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("depth", [0, MAX_DEPTH_C + 1])

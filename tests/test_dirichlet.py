@@ -230,7 +230,7 @@ def _embedded_full_range(nu, N):
     """Monomial tables at every needed index, then sum_j c_j table_j embedded."""
     indices = tuple((n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1)
     exps, coords = _eigenform_monomial_coords(nu)
-    tables = [cusp_monomial_coeffs(1, a, b, indices, indices[-1]) for a, b in exps]
+    tables = [cusp_monomial_coeffs(a, b, indices, indices[-1]) for a, b in exps]
     out = []
     for c in coords:
         values = {}

@@ -61,6 +61,21 @@ def test_cusp_generator_values():
         cusp_generator(24, 4)
 
 
+def test_cusp_generator_rejects_other_weights():
+    # 14 has no cusp form, 24 a two-dimensional cusp space
+    for weight in (14, 24):
+        with pytest.raises(ValueError, match=f"^weight {weight} does not have a 1-dimensional cusp space$"):
+            cusp_generator(weight, 4)
+    accepted = set()
+    for w in range(-2, 60):
+        try:
+            cusp_generator(w, 3)
+        except ValueError:
+            continue
+        accepted.add(w)
+    assert accepted == {12, 16, 18, 20, 22, 26}
+
+
 def test_dimensions():
     assert dim_modular(12) == 2 and dim_cusp(12) == 1
     assert dim_cusp(24) == 2

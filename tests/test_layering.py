@@ -17,9 +17,9 @@ PACKAGE = Path(pentarc.__file__).parent
 LAYERS = {
     "errors": set(),
     "arith": set(),
-    "_coeffs": set(),
     "exactnum": {"errors"},
     "qseries": {"errors"},
+    "_coeffs": {"qseries"},
     "rademacher": {"arith", "errors"},
     "partitions": {"errors", "exactnum"},
     "serialize": {"exactnum", "qseries"},

@@ -1,8 +1,10 @@
-"""Property tests of the integer q-series kernel against a Fraction reference.
+"""Property tests of the integer q-series kernel against plain references.
 
-The reference below is the plain per-coefficient ``Fraction`` arithmetic
+The references below are the plain per-coefficient ``Fraction`` arithmetic
 (truncated Cauchy product, recursive inversion, termwise D) that the
-integer numerators over one denominator must reproduce exactly.
+integer numerators over one denominator must reproduce exactly, and the
+schoolbook loop that the integer product ``_convolve`` must match on both
+of its branches.
 """
 
 from fractions import Fraction as F
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentarc.qseries import IntQSeries, QSeries24, euler_expansion
+from pentarc import qseries
+from pentarc.qseries import IntQSeries, QSeries24, _convolve, euler_expansion
 from pentarc.rankincohen import eta_bracket, eta_bracket_from_partitions
 
 # fixed examples keep the test run reproducible; no example database is written
@@ -140,3 +143,85 @@ def test_non_unit_leading_coefficient_inverse_is_exact():
     assert values(inv) == ref_invert(values(s)) == [F(2, 3), F(-4, 9), F(116, 189)]
     with pytest.raises(ZeroDivisionError):
         IntQSeries(0, [0, 1]).invert()
+
+
+def schoolbook(a: list, b: list, out_len: int) -> list:
+    """Truncated Cauchy product by the plain double loop."""
+    out = [0] * out_len
+    for i, ai in enumerate(a[:out_len]):
+        if ai:
+            for j, bj in enumerate(b[: out_len - i], i):
+                if bj:
+                    out[j] += ai * bj
+    return out
+
+
+def slot_top(k: int) -> int:
+    """Largest coefficient modulus a k-byte slot holds."""
+    return 2 ** (8 * k - 1) - 1
+
+
+# values at and just past the k-byte slot limits, mixed with ordinary values
+extremes = st.integers(1, 3).flatmap(
+    lambda k: st.sampled_from([slot_top(k), -slot_top(k), slot_top(k) + 1, -slot_top(k) - 1])
+)
+coefficients = extremes | st.integers(-(2**20), 2**20)
+# about a quarter nonzero, so the density rule goes either way
+sparse_lists = st.lists(coefficients | st.just(0) | st.just(0) | st.just(0), min_size=1, max_size=40)
+# a signed monomial +-q^s leaves the other factor's extremes in the product
+monomials = st.tuples(st.integers(0, 4), st.sampled_from([1, -1])).map(lambda t: [0] * t[0] + [t[1]])
+operands = sparse_lists | st.lists(coefficients, min_size=1, max_size=40) | monomials
+
+
+@settings(KERNEL, max_examples=200)
+@given(operands, operands, st.data())
+def test_convolve_is_the_schoolbook_product(a, b, data):
+    out_len = data.draw(st.integers(0, min(len(a), len(b))))
+    assert _convolve(a, b, out_len) == schoolbook(a, b, out_len)
+    assert _convolve(a, a, out_len) == schoolbook(a, a, out_len)
+
+
+def test_slots_hold_their_extremes():
+    # all-equal operands put out_len * max|a| * max|b|, the largest value the
+    # slot width allows for, in the last slot; alternating signs make it negative
+    for top in (1, 2**7 - 1, 2**7, 2**8 - 1, 2**15, 2**40 + 1):
+        for n in (1, 2, 3, 4, 7, 8, 9, 255, 256, 257):
+            same = [top] * n
+            alt = [(-1) ** i * top for i in range(n)]
+            for a, b in ((same, same), (alt, alt), (same, [-top] * n)):
+                want = schoolbook(a, b, n)
+                assert _convolve(a, b, n) == want
+                assert _convolve(a, a, n) == schoolbook(a, a, n)
+                assert abs(want[-1]) == n * top * top
+
+
+@pytest.mark.parametrize("nonzero, packed", [(4, False), (5, True)])
+def test_quarter_density_picks_the_loop(monkeypatch, nonzero, packed):
+    """A sparser operand 4 of 16 nonzero multiplies pairs; 5 of 16 packs."""
+    calls = []
+    real = qseries._pack
+
+    def spy(coeffs, k):
+        calls.append(k)
+        return real(coeffs, k)
+
+    monkeypatch.setattr(qseries, "_pack", spy)
+    a = [0] * 16
+    for i in range(nonzero):
+        a[3 * i] = slot_top(2) - i
+    b = [(-1) ** j * (j + 1) ** 5 for j in range(16)]
+    for x, y in ((a, b), (b, a)):
+        assert _convolve(x, y, 16) == schoolbook(x, y, 16)
+    assert bool(calls) == packed
+    # density counts the truncated operands: 4 of 15 is over a quarter, and packs
+    calls.clear()
+    assert _convolve(a, b, 15) == schoolbook(a, b, 15)
+    assert calls
+
+
+def test_empty_and_zero_operands():
+    dense = [7, -3, 2**70, 5]
+    assert _convolve(dense, dense, 0) == []
+    assert _convolve([], [], 0) == []
+    assert _convolve([0] * 4, dense, 4) == [0] * 4
+    assert _convolve(dense, [0] * 4, 3) == [0] * 3
