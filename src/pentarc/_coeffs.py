@@ -1,19 +1,23 @@
-"""Exact coefficients of Delta E4^a E6^b as cached integer tables.
+"""The one construction of E_w and of Delta E4^a E6^b as exact integer series.
 
-The Dirichlet sums read these tables only up to index N + 1 (2001 at the
+``eisenstein_series`` builds E_w for every even w >= 2 by one divisor-power
+sieve; ``forms.eisenstein`` wraps it.  The cached tables Delta E4^a E6^b are
+the one builder of Delta (``forms.delta`` and ``forms.cusp_generator`` read
+them).  The Dirichlet sums read them only up to index N + 1 (2001 at the
 largest default truncation) and reach larger indices through Hecke
-multiplicativity.  Each table is a chain of exact ``IntQSeries`` products,
-so it runs on the one integer product kernel ``qseries._convolve``: dense
-operands go through Kronecker substitution with slots sized from the data.
-eta^24 comes from Jacobi's cube identity
-prod(1-q^n)^3 = sum (-1)^j (2j+1) q^(j(j+1)/2), squared three times (to
-eta^6, eta^12 and eta^24, up to q-shifts) by ``pow(8)``.
+multiplicativity.  Each table is a chain of exact ``IntQSeries`` products
+on the one integer product kernel ``qseries._convolve``.  eta^24 comes from
+Jacobi's cube identity prod(1-q^n)^3 = sum (-1)^j (2j+1) q^(j(j+1)/2),
+squared three times (to eta^6, eta^12 and eta^24, up to q-shifts) by
+``pow(8)``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
+from .exactnum import bernoulli
 from .qseries import IntQSeries
 
 
@@ -27,15 +31,16 @@ def _cube_coeffs(length: int) -> list[int]:
     return out
 
 
-def _eisenstein_coeffs(w: int, length: int) -> list[int]:
-    """E4 or E6 through q^(length-1): 1, then 240 or -504 times sigma_(w-1)."""
+def eisenstein_series(w: int, length: int) -> IntQSeries:
+    """E_w through q^(length-1) for even w >= 2 (E_2 is quasi-modular)."""
     sigma = [0] * length
     for d in range(1, length):
         power = d ** (w - 1)
         for m in range(d, length, d):
             sigma[m] += power
-    factor = {4: 240, 6: -504}[w]
-    return [1] + [factor * s for s in sigma[1:]]
+    factor = -Fraction(2 * w) / bernoulli(w)
+    den = factor.denominator
+    return IntQSeries._make(0, [den] + [factor.numerator * s for s in sigma[1:]], den)
 
 
 @lru_cache(maxsize=32)
@@ -44,7 +49,7 @@ def _monomial_table(a4: int, b6: int, mmax: int) -> tuple[int, ...]:
     acc = IntQSeries._make(0, _cube_coeffs(mmax)).pow(8)  # Delta = q prod(1-q^n)^24
     for w, reps in ((4, a4), (6, b6)):
         if reps:
-            eis = IntQSeries._make(0, _eisenstein_coeffs(w, mmax))
+            eis = eisenstein_series(w, mmax)
             for _ in range(reps):
                 acc = acc * eis
     return (0,) + acc.coeffs

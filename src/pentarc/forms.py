@@ -2,10 +2,10 @@
 
 Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n (the
 quasi-modular E_2 is allowed as a series but never enters a space basis),
-Delta = eta^24, the one-dimensional cusp-space generators Delta * E-monomial,
-and exact monomial bases of M_w with echelonized cusp bases, plus exact
-decomposition against them.  The echelon form and the decomposition both
-come from the exact solver ``exactnum.rref`` / ``exactnum.solve``.
+Delta = eta^24 and the one-dimensional cusp-space generators Delta *
+E-monomial are all built in ``_coeffs``.  Here live the exact monomial bases
+of M_w with echelonized cusp bases, plus exact decomposition against them,
+both through the exact solver ``exactnum.rref`` / ``exactnum.solve``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._coeffs import cusp_monomial_coeffs
+from ._coeffs import cusp_monomial_coeffs, eisenstein_series
 from .errors import NotInSpaceError, PrecisionError
-from .exactnum import bernoulli, rref, solve
-from .partitions import sigma
-from .qseries import IntQSeries, euler_expansion
+from .exactnum import rref, solve
+from .qseries import IntQSeries
 
 __all__ = [
     "MFSpace",
@@ -39,22 +38,12 @@ def eisenstein(w: int, prec: int) -> IntQSeries:
         raise ValueError("Eisenstein weight must be a positive even integer")
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    factor = -Fraction(2 * w) / bernoulli(w)
-    nums = [factor.denominator] + [factor.numerator * sigma(w - 1, n) for n in range(1, prec)]
-    return IntQSeries(0, nums, den=factor.denominator)
+    return eisenstein_series(w, prec)
 
 
-@lru_cache(maxsize=None)
 def delta(prec: int) -> IntQSeries:
-    """The discriminant form eta^24 = q E(q)^24 = q - 24q^2 + 252q^3 - ...
-
-    E is the pentagonal series ``euler_expansion``; the q^(1/24) of each
-    eta factor multiplies to q.
-    """
-    if prec < 2:
-        raise ValueError("prec must be >= 2")
-    power = euler_expansion(prec - 1).pow(24)
-    return IntQSeries(1, power.coeffs, den=power.den)
+    """eta^24 = q - 24q^2 + 252q^3 - ...: the (0, 0) table of ``_coeffs``."""
+    return cusp_generator(12, prec)
 
 
 def cusp_generator(weight: int, prec: int) -> IntQSeries:
@@ -133,11 +122,9 @@ def space_basis(weight: int, prec: int) -> MFSpace:
         e6_pows.append(e6_pows[-1] * e6)
     basis = tuple(e4_pows[a] * e6_pows[b] for a, b in exps)
 
-    ew = eisenstein(weight, prec)
-    # m - ew scaled by m.den * ew.den, which leaves the echelon form unchanged
-    rows = [
-        [Fraction(a * ew.den - b * m.den) for a, b in zip(m.coeffs, ew.coeffs)] for m in basis
-    ]
+    # every monomial has constant term 1, so the differences from the first
+    # span S_weight, and the reduced echelon form of a spanning set is unique
+    rows = [[Fraction(c) for c in (m - basis[0]).coeffs] for m in basis[1:]]
     reduced = rref(rows)
     if len(reduced) != n_cusp:
         raise PrecisionError("echelonization did not produce the expected cusp basis")

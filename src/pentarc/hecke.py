@@ -1,15 +1,14 @@
 """Hecke operators, eigenforms over quadratic fields, and the trace series
 carried by the cuspidal part of the eta brackets.
 
-The weight-2nu trace sequence is defined for n >= 1 by
-
-    trace(n) = [q^n] eta_bracket(nu) + (4 nu / B_{2nu}) C(2nu-2, nu-2) sigma_{2nu-1}(n),
-
-i.e. the coefficients of the cuspidal part after removing the Eisenstein
-component C(2nu-2, nu-2) * E_{2nu}.  ``eigenform_projections`` solves
-sum_i gamma_i a_i(n) = trace(n), n = 1..dim, with the exact solver
-``exactnum.solve``, yielding the exact projection ratios
-gamma_i = <bracket, f_i> / <f_i, f_i>.
+``cusp_part`` is the one construction of that cuspidal part,
+eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}; the weight-2nu trace sequence is
+its q^n coefficient for n >= 1.  (``partitions.recurrence_rhs`` writes the
+Eisenstein term from the sigma_{2nu-1} formula instead, so the
+``trace-recurrence`` suite checks one against the other.)
+``eigenform_projections`` solves sum_i gamma_i a_i(n) = trace(n),
+n = 1..dim, with the exact solver ``exactnum.solve``, yielding the exact
+projection ratios gamma_i = <bracket, f_i> / <f_i, f_i>.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .errors import PrecisionError, UnsupportedHeckeFieldError
-from .exactnum import QuadNum, bernoulli, solve
-from .forms import dim_cusp, space_basis
-from .partitions import sigma
+from .exactnum import QuadNum, solve
+from .forms import dim_cusp, eisenstein, space_basis
 from .qseries import IntQSeries
 from .rankincohen import eta_bracket
 
@@ -32,6 +30,7 @@ __all__ = [
     "hecke_operator",
     "hecke_action",
     "eigenforms",
+    "cusp_part",
     "trace_series",
     "eigenform_projections",
 ]
@@ -203,6 +202,14 @@ def _check_eigenform(f: Eigenform) -> None:
             raise UnsupportedHeckeFieldError("T_2 eigenvector check failed")
 
 
+def cusp_part(nu: int, prec: int) -> IntQSeries:
+    """eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}, exact through q^(prec-1), for nu >= 2."""
+    if nu < 2:
+        raise ValueError("cusp_part needs nu >= 2")
+    c = comb(2 * nu - 2, nu - 2)
+    return eta_bracket(nu, prec) - eisenstein(2 * nu, prec).scale(c)
+
+
 @lru_cache(maxsize=None)
 def trace_series(nu: int, n_max: int) -> TraceSeries:
     """Exact trace values for 1 <= n <= n_max (identically 0 if dim S = 0)."""
@@ -212,13 +219,8 @@ def trace_series(nu: int, n_max: int) -> TraceSeries:
         raise ValueError("n_max must be >= 1")
     if dim_cusp(2 * nu) == 0:
         return TraceSeries(nu, tuple([Fraction(0)] * (n_max + 1)))
-    bracket = eta_bracket(nu, n_max + 1)
-    c = comb(2 * nu - 2, nu - 2)
-    factor = Fraction(4 * nu) / bernoulli(2 * nu) * c
-    values = [Fraction(0)]
-    for n in range(1, n_max + 1):
-        values.append(bracket.coeff(n) + factor * sigma(2 * nu - 1, n))
-    return TraceSeries(nu, tuple(values))
+    cusp = cusp_part(nu, n_max + 1)
+    return TraceSeries(nu, (Fraction(0),) + tuple(cusp.coeff(n) for n in range(1, n_max + 1)))
 
 
 @lru_cache(maxsize=8)

@@ -29,9 +29,9 @@ so results are freely shared and cached.
 
 Eta never needs the 1/24 grid: eta = q^(1/24) E(q) with E the pentagonal
 series ``euler_expansion``, and 1/eta = q^(-1/24) E(q)^-1, so code that
-tracks the q^(+-1/24) shifts itself (``rankincohen.eta_bracket``,
-``forms.delta``) works on integer exponents.  ``QSeries24`` remains for the
-general Rankin-Cohen bracket and the checks that cross-validate it.
+tracks the q^(+-1/24) shifts itself (``rankincohen.eta_bracket``) works on
+integer exponents.  ``QSeries24`` remains for the general Rankin-Cohen
+bracket and the checks that cross-validate it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import dirichlet as dmod
 from . import forms, hecke, partitions, qseries, rademacher, rankincohen
@@ -85,20 +85,15 @@ def check_operator_series(nu_max: int = 6, prec: int = 40) -> tuple[bool, str]:
 
 
 def check_corollaries() -> tuple[bool, str]:
-    # Eisenstein-only weights: bracket is C(2nu-2, nu-2) * E_{2nu} exactly
+    # Eisenstein-only weights: no cuspidal part, so the bracket is C(2nu-2, nu-2) * E_{2nu}
     prec = 51
     for nu in (2, 3, 4, 5, 7):
-        bracket = rankincohen.eta_bracket(nu, prec)
-        c = comb(2 * nu - 2, nu - 2)
-        eis = forms.eisenstein(2 * nu, prec)
-        if not bracket.agrees_with(eis.scale(c)):
+        if not hecke.cusp_part(nu, prec).is_zero():
             return False, f"nu={nu} bracket is not a pure Eisenstein multiple"
     # one-dimensional weights: cuspidal part is the tabulated multiple
     for nu, beta in CUSP_MULTIPLIERS.items():
         prec_nu = 20
-        bracket = rankincohen.eta_bracket(nu, prec_nu)
-        c = comb(2 * nu - 2, nu - 2)
-        cusp = bracket - forms.eisenstein(2 * nu, prec_nu).scale(c)
+        cusp = hecke.cusp_part(nu, prec_nu)
         gen = forms.cusp_generator(2 * nu, prec_nu)
         if not cusp.agrees_with(gen.scale(beta)):
             return False, f"nu={nu} cusp multiplier mismatch"
@@ -143,16 +138,12 @@ def check_eigenforms() -> tuple[bool, str]:
 def check_projection_reconstruction() -> tuple[bool, str]:
     for nu in (6, 12):
         prec = 12
-        bracket = rankincohen.eta_bracket(nu, prec)
-        c = comb(2 * nu - 2, nu - 2)
-        eis = forms.eisenstein(2 * nu, prec)
+        cusp = hecke.cusp_part(nu, prec)
         gammas = hecke.eigenform_projections(nu)
         fs = hecke.eigenforms(2 * nu)
         for n in range(prec):
-            acc = QuadNum(c * eis.coeff(n))
-            for g, f in zip(gammas, fs):
-                acc = acc + g * f.a(n)
-            if acc != QuadNum(bracket.coeff(n)):
+            acc = sum((g * f.a(n) for g, f in zip(gammas, fs)), QuadNum(0))
+            if acc != QuadNum(cusp.coeff(n)):
                 return False, f"nu={nu}: reconstruction fails at q^{n}"
     return True, "Eisenstein part + sum of projected eigenforms == bracket (nu=6,12)"
 

@@ -9,7 +9,7 @@ import pytest
 import pentarc
 from pentarc import dirichlet as dmod
 from pentarc import partitions
-from pentarc.cli import MAX_GPOLY_K, MAX_GPOLY_N, MAX_NU, main
+from pentarc.cli import MAX_GPOLY_K, MAX_GPOLY_K_COUNT, MAX_GPOLY_N, MAX_NU, MAX_TRACE_N, main
 from pentarc.rademacher import MAX_DEPTH_C
 
 
@@ -325,6 +325,7 @@ def test_nu_above_ceiling_exits_2(capsys, argv):
         (["gpoly", str(MAX_NU), str(-MAX_GPOLY_N - 1)], "argument n"),
         (["gpoly", str(MAX_NU), "1", "--k", f"{MAX_GPOLY_K}..{MAX_GPOLY_K + 1}"], "argument --k"),
         (["gpoly", str(MAX_NU), "1", f"--k={-MAX_GPOLY_K - 1}..{-MAX_GPOLY_K}"], "argument --k"),
+        (["gpoly", str(MAX_NU), "1", f"--k=0..{MAX_GPOLY_K_COUNT}"], "argument --k"),  # one value too many
     ],
 )
 def test_gpoly_argument_above_ceiling_exits_2(capsys, argv, named):
@@ -332,6 +333,25 @@ def test_gpoly_argument_above_ceiling_exits_2(capsys, argv, named):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"pentarc: {named}: |" in captured.err and "at most" in captured.err
+
+
+@pytest.mark.parametrize("n", [0, MAX_TRACE_N + 1])
+def test_trace_n_outside_domain_exits_2(capsys, n):
+    code = main(["trace", "6", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"pentarc: argument n: n must lie in 1..{MAX_TRACE_N}, got {n}" in captured.err
+
+
+def test_trace_at_its_ceiling(capsys):
+    # weight 14 has no cusp form, so the ceiling itself costs no bracket
+    code, data = run_json(capsys, "trace", "7", str(MAX_TRACE_N))
+    assert code == 0 and len(data["results"]) == MAX_TRACE_N
+
+
+def test_gpoly_range_at_its_ceiling(capsys):
+    code, data = run_json(capsys, "gpoly", "2", "1", f"--k=1..{MAX_GPOLY_K_COUNT}")
+    assert code == 0 and len(data["results"]) == MAX_GPOLY_K_COUNT
 
 
 def test_gpoly_at_its_ceilings_prints_every_digit(capsys):

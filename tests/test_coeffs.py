@@ -1,13 +1,17 @@
-"""The monomial tables against exact ``delta`` and ``eisenstein`` products."""
+"""The monomial tables against exact products of an independent Delta and
+``eisenstein``."""
 
 from pentarc._coeffs import cusp_monomial_coeffs
-from pentarc.forms import _monomial_exponents, delta, eisenstein
+from pentarc.forms import _monomial_exponents, eisenstein
+from pentarc.qseries import IntQSeries, euler_expansion
 
 
 def test_monomial_tables_match_exact_products():
     prec = 401  # indices 0..400
     e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
-    products = {(0, 0): delta(prec)}
+    # Delta = q E(q)^24 from the pentagonal series, not from the table under test
+    power = euler_expansion(prec - 1).pow(24)
+    products = {(0, 0): IntQSeries(1, power.coeffs, den=power.den)}
 
     def product(a, b):
         if (a, b) not in products:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from pentarc.errors import NotInSpaceError, PrecisionError
+from pentarc.exactnum import bernoulli, rref
 from pentarc.forms import (
     cusp_generator,
     decompose,
@@ -13,6 +14,7 @@ from pentarc.forms import (
     eisenstein,
     space_basis,
 )
+from pentarc.partitions import sigma
 from pentarc.qseries import IntQSeries, eta_expansion, to_int_series
 
 
@@ -27,6 +29,11 @@ def test_eisenstein_coefficients():
         eisenstein(5, 10)
     with pytest.raises(ValueError):
         eisenstein(0, 10)
+    # the sieve against the per-n divisor sum: E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n
+    for w in range(2, 41, 2):
+        factor = -F(2 * w) / bernoulli(w)
+        want = [F(1)] + [factor * sigma(w - 1, n) for n in range(1, 200)]
+        assert [eisenstein(w, 200).coeff(n) for n in range(200)] == want, w
 
 
 def test_delta_is_eta_power():
@@ -93,6 +100,13 @@ def test_space_basis_staircase():
             assert h.coeff(i + 1) == 1
             assert all(h.coeff(j) == 0 for j in range(i + 1))
             assert all(h.coeff(j + 1) == 0 for j in range(sp.dim_cusp) if j != i)
+    # the echelon form of the monomials minus E_w spans the same space
+    for weight in range(12, 41, 2):
+        sp = space_basis(weight, 20)
+        ew = eisenstein(weight, 20)
+        rows = [[m.coeff(n) - ew.coeff(n) for n in range(20)] for m in sp.basis]
+        want = rref(rows)
+        assert [[h.coeff(n) for n in range(20)] for h in sp.cusp_basis] == want, weight
 
 
 def test_space_basis_precision_guard():

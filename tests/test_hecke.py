@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from pentarc.errors import PrecisionError, UnsupportedHeckeFieldError
-from pentarc.exactnum import QuadNum
+from pentarc.exactnum import QuadNum, bernoulli
 from pentarc.forms import cusp_generator, delta, eisenstein
 from pentarc.hecke import (
     eigenform_projections,
@@ -124,14 +124,14 @@ def test_trace_zero_for_trivial_cusp_spaces():
     for nu in (2, 3, 4, 5, 7):
         tr = trace_series(nu, 12)
         assert all(tr.value(n) == 0 for n in range(1, 13))
-        # the defining formula also vanishes identically
+    # the defining formula vanishes identically there, and gives the traces of
+    # the nontrivial spaces (dim S_2nu = 1, 1, 2, 1, 3)
+    for nu in (2, 3, 4, 5, 7, 6, 8, 12, 13, 18):
+        tr = trace_series(nu, 12)
         bracket = eta_bracket(nu, 13)
-        c = comb(2 * nu - 2, nu - 2)
-        from pentarc.exactnum import bernoulli
-
+        factor = F(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2)
         for n in range(1, 13):
-            formula = bracket.coeff(n) + F(4 * nu) / bernoulli(2 * nu) * c * sigma(2 * nu - 1, n)
-            assert formula == 0
+            assert tr.value(n) == bracket.coeff(n) + factor * sigma(2 * nu - 1, n), (nu, n)
 
 
 def test_cusp_multipliers_exact():

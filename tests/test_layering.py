@@ -19,13 +19,13 @@ LAYERS = {
     "arith": set(),
     "exactnum": {"errors"},
     "qseries": {"errors"},
-    "_coeffs": {"qseries"},
+    "_coeffs": {"exactnum", "qseries"},
     "rademacher": {"arith", "errors"},
     "partitions": {"errors", "exactnum"},
     "serialize": {"exactnum", "qseries"},
-    "forms": {"_coeffs", "errors", "exactnum", "partitions", "qseries"},
+    "forms": {"_coeffs", "errors", "exactnum", "qseries"},
     "rankincohen": {"errors", "exactnum", "partitions", "qseries"},
-    "hecke": {"errors", "exactnum", "forms", "partitions", "qseries", "rankincohen"},
+    "hecke": {"errors", "exactnum", "forms", "qseries", "rankincohen"},
     "dirichlet": {"_coeffs", "arith", "errors", "exactnum", "forms", "hecke"},
     "verify": {
         "arith", "dirichlet", "exactnum", "forms", "hecke", "partitions", "qseries",
