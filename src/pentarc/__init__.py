@@ -32,6 +32,7 @@ from .rankincohen import eta_bracket, eta_bracket_from_partitions, rankin_cohen
 from .hecke import (
     Eigenform,
     TraceSeries,
+    eigen_coordinates,
     eigenform_projections,
     eigenforms,
     hecke_operator,

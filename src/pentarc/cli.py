@@ -47,6 +47,12 @@ MAX_GPOLY_K = 10**9
 MAX_GPOLY_K_COUNT = 3000
 #: ``trace``'s n: ``trace 12 10000`` takes 4 s and 33 MB, ``trace 200 2000`` 48 s and 122 MB
 MAX_TRACE_N = 10**4
+#: ``partition``'s n: ``partition 100000`` takes 8.7 s and 32 MB, ``partition 40000`` 1.5 s
+MAX_PARTITION_N = 10**5
+#: ``--prec 10000 pnu 12`` takes 9 s and 33 MB, ``pnu 24`` 40 s, ``--prec 1000 pnu 200`` 75 s
+MAX_PREC = 10**4
+#: ``--big-m 10000 dirichlet 19`` takes 1.8 s and 48 MB, 9 s with ``--float-mode wide:30``
+MAX_BIG_M = 10**4
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,10 @@ def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
     kind, value = _parse_method(args.method)
     if kind != "euler" and ns[0] < 1:
         raise ValueError(f"argument n: --method {args.method} needs n >= 1, got {ns[0]}")
+    if ns[-1] > MAX_PARTITION_N:
+        raise ValueError(f"argument n: n must be at most {MAX_PARTITION_N}, got {ns[-1]}")
+    if kind == "trace" and ns[-1] > MAX_TRACE_N:
+        raise ValueError(f"argument n: --method {args.method} needs n <= {MAX_TRACE_N}, got {ns[-1]}")
     table = traces = None
     if args.cross_check or kind != "rademacher":
         # one table serves every n of the request
@@ -270,6 +280,8 @@ def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
     nu, prec = args.nu, cfg.prec
+    if prec > MAX_PREC:
+        raise ValueError(f"--prec must be at most {MAX_PREC}, got {prec}")
     bracket = rankincohen.eta_bracket(nu, prec)
     record: dict = {
         "nu": nu,
@@ -324,6 +336,8 @@ def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
     big_n = cfg.big_n if cfg.big_n is not None else dmod.default_big_n(nu)
     if not 1 <= big_n <= dmod.MAX_BIG_N:
         raise ValueError(f"--big-n must lie in 1..{dmod.MAX_BIG_N}, got {big_n}")
+    if cfg.big_m > MAX_BIG_M:
+        raise ValueError(f"--big-m must be at most {MAX_BIG_M}, got {cfg.big_m}")
     est = dmod.petersson_norm_estimate(nu, cfg.big_m, big_n, cfg.dps)
     results = [
         {"eigenform": i + 1, "double_sum": value, "projection_exact": gamma, "norm_estimate": norm}
@@ -372,8 +386,8 @@ def _shared_options() -> argparse.ArgumentParser:
     # subcommand with its own defaults
     S = argparse.SUPPRESS
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--prec", type=int, default=S, help="integer q-coefficients (default 60)")
-    shared.add_argument("--big-m", dest="big_m", type=int, default=S, help="Dirichlet m-truncation")
+    shared.add_argument("--prec", type=int, default=S, help=f"q-coefficients (default 60), at most {MAX_PREC}")
+    shared.add_argument("--big-m", dest="big_m", type=int, default=S, help=f"Dirichlet M, at most {MAX_BIG_M}")
     shared.add_argument(
         "--big-n", dest="big_n", type=int, default=S,
         help=f"Dirichlet n-truncation, 1..{dmod.MAX_BIG_N}",

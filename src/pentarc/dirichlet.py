@@ -25,7 +25,8 @@ Q(sqrt(d)), so 2a = x + y sqrt(d) with integers x and y.  Each needed
 coefficient is assembled exactly as such a pair from a_f(p), p <= N + 1,
 in Python ints: a product of pairs halves ((x1 x2 + d y1 y2)/2,
 (x1 y2 + x2 y1)/2), and each halving, like the division by the common
-denominator of the eigenform's monomial coordinates, is checked exact.
+denominator of the eigenform's coordinates in the Delta E4^a E6^b basis
+(``hecke.eigen_coordinates``, read as they are), is checked exact.
 Every assembled index the table reaches directly is checked against it,
 and each coefficient is rounded to a float once.
 
@@ -46,12 +47,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from ._coeffs import cusp_monomial_coeffs
 from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
-from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial, solve
-from .forms import _monomial_exponents, dim_cusp
-from .hecke import eigenform_projections, eigenforms
+from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial
+from .forms import cusp_monomials, dim_cusp
+from .hecke import eigen_coordinates, eigenform_projections
 
 __all__ = [
     "DEFAULT_BIG_M",
@@ -270,30 +270,6 @@ class EmbeddedEigenform:
             raise PrecisionError(f"coefficient {m} not tabulated") from None
 
 
-@lru_cache(maxsize=8)
-def _eigenform_monomial_coords(nu: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[QuadNum, ...], ...]]:
-    """Exact coordinates of each eigenform in the basis Delta * E4^a E6^b."""
-    weight = 2 * nu
-    exps = tuple(_monomial_exponents(weight - 12))
-    dim = len(exps)
-    prec = dim + 6
-    basis = [cusp_monomial_coeffs(a, b, tuple(range(prec)), prec - 1) for a, b in exps]
-    coords = []
-    for f in eigenforms(weight):
-        # solve sum_j c_j basis_j[n] = a_f(n) for n = 1..dim, then verify
-        mat = [[QuadNum(basis[j][n]) for j in range(dim)] for n in range(1, dim + 1)]
-        rhs = [f.a(n) for n in range(1, dim + 1)]
-        c = solve(mat, rhs)
-        for n in range(1, prec):
-            synth = c[0] * basis[0][n]
-            for j in range(1, dim):
-                synth = synth + c[j] * basis[j][n]
-            if synth != f.a(n):
-                raise InternalCancellationError("eigenform does not match its monomial coordinates")
-        coords.append(tuple(c))
-    return exps, tuple(coords)
-
-
 def _primes_upto(n: int) -> list[int]:
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = bytes(2)
@@ -384,13 +360,12 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     top = N + 1
     indices = [(n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1]
     primes = _primes_upto(top)
-    direct = sorted(set(primes).union(m for m in indices if m <= top))
-    exps, coords = _eigenform_monomial_coords(nu)
-    tables = [dict(zip(direct, cusp_monomial_coeffs(a, b, tuple(direct), top))) for a, b in exps]
+    weight = 2 * nu
+    d, coords = eigen_coordinates(weight)
+    tables = cusp_monomials(weight, top + 1)
 
     out = []
-    for form, c in zip(eigenforms(2 * nu), coords):
-        d = form.disc
+    for c in coords:
         den, us, vs = _integer_coords(c)
 
         def from_tables(m: int) -> tuple[int, int]:
@@ -398,22 +373,22 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
             y = 2 * sum(v * t[m] for v, t in zip(vs, tables))
             if x % den or y % den:
                 raise InternalCancellationError(
-                    f"coefficient {m} of the weight-{form.weight} eigenform is not an algebraic integer"
+                    f"coefficient {m} of the weight-{weight} eigenform is not an algebraic integer"
                 )
             return x // den, y // den
 
-        at_power = _prime_power_coeffs({p: from_tables(p) for p in primes}, form.weight, top, d)
+        at_power = _prime_power_coeffs({p: from_tables(p) for p in primes}, weight, top, d)
         sqrt_d = math.sqrt(d)
         values = {}
         for m in indices:
             pair = _multiplicative_coeff(m, primes, at_power, d) if m else (0, 0)
             if m <= top and pair != from_tables(m):
                 raise InternalCancellationError(
-                    f"coefficient {m} of the weight-{form.weight} eigenform breaks Hecke multiplicativity"
+                    f"coefficient {m} of the weight-{weight} eigenform breaks Hecke multiplicativity"
                 )
             # int / int rounds once, as float(Fraction(x, 2)) does
             values[m] = pair[0] / 2 + (pair[1] / 2) * sqrt_d
-        out.append(EmbeddedEigenform(form.weight, form.disc, values))
+        out.append(EmbeddedEigenform(weight, d, values))
     return tuple(out)
 
 

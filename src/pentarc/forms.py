@@ -2,10 +2,10 @@
 
 Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n (the
 quasi-modular E_2 is allowed as a series but never enters a space basis),
-Delta = eta^24 and the one-dimensional cusp-space generators Delta *
-E-monomial are all built in ``_coeffs``.  Here live the exact monomial bases
-of M_w with echelonized cusp bases, plus exact decomposition against them,
-both through the exact solver ``exactnum.rref`` / ``exactnum.solve``.
+Delta = eta^24 and the cusp forms Delta * E4^a E6^b are all built in
+``_coeffs``; the latter, read by ``cusp_monomials``, are the one basis of
+S_w.  Here live the exact monomial bases E4^a E6^b of M_w, plus exact
+decomposition against them through the exact solver ``exactnum.solve``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from ._coeffs import cusp_monomial_coeffs, eisenstein_series
 from .errors import NotInSpaceError, PrecisionError
-from .exactnum import rref, solve
+from .exactnum import solve
 from .qseries import IntQSeries
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "eisenstein",
     "delta",
     "cusp_generator",
+    "cusp_monomials",
     "dim_modular",
     "dim_cusp",
     "space_basis",
@@ -31,7 +32,8 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+#: a ``verify all`` pass reads 22 distinct (w, prec), the most of any benchmark workload
+@lru_cache(maxsize=32)
 def eisenstein(w: int, prec: int) -> IntQSeries:
     """Weight-w Eisenstein series, exact through q^(prec-1)."""
     if w < 2 or w % 2:
@@ -53,13 +55,20 @@ def cusp_generator(weight: int, prec: int) -> IntQSeries:
     E4^a E6^b monomial of weight (weight - 12); leading coefficient 1 at q.
     Exact through q^(prec-1), read from the ``_coeffs`` monomial table.
     """
-    exps = _monomial_exponents(weight - 12)
-    if len(exps) != 1:
+    if dim_cusp(weight) != 1:
         raise ValueError(f"weight {weight} does not have a 1-dimensional cusp space")
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    ((a, b),) = exps
-    return IntQSeries._make(1, cusp_monomial_coeffs(a, b, tuple(range(1, prec)), prec - 1))
+    (row,) = cusp_monomials(weight, prec)
+    return IntQSeries._make(1, row[1:])
+
+
+def cusp_monomials(weight: int, length: int) -> list[list[int]]:
+    """Coefficients 0..length-1 of each Delta E4^a E6^b of weight ``weight``,
+    in the (a, b) order of ``_monomial_exponents(weight - 12)``: the basis
+    of S_weight, every member starting with q."""
+    indices = tuple(range(length))
+    return [cusp_monomial_coeffs(a, b, indices, length - 1) for a, b in _monomial_exponents(weight - 12)]
 
 
 def _monomial_exponents(weight: int) -> list[tuple[int, int]]:
@@ -87,28 +96,23 @@ def dim_cusp(weight: int) -> int:
 
 @dataclass(frozen=True)
 class MFSpace:
-    """Monomial basis of M_weight with an echelonized cusp basis.
-
-    ``basis`` holds E4^a E6^b in lexicographic (a, b) order; ``cusp_basis``
-    is row-reduced with unit leading coefficients at q, q^2, ...
-    """
+    """Monomial basis E4^a E6^b of M_weight, in lexicographic (a, b) order."""
 
     weight: int
     dim_total: int
     dim_cusp: int
     basis: tuple[IntQSeries, ...]
-    cusp_basis: tuple[IntQSeries, ...]
     prec: int
 
 
-@lru_cache(maxsize=None)
+#: ``pnu`` reads one space per request; ``verify`` and the eigenforms read none
+@lru_cache(maxsize=8)
 def space_basis(weight: int, prec: int) -> MFSpace:
-    """Monomial basis of M_weight and echelonized basis of S_weight."""
+    """Monomial basis of M_weight, exact through q^(prec-1)."""
     if weight < 4 or weight % 2:
         raise ValueError("space_basis needs an even weight >= 4")
     exps = _monomial_exponents(weight)
     dim_total = len(exps)
-    n_cusp = dim_total - 1
     if prec <= dim_total + 2:
         raise PrecisionError(f"prec {prec} too small for weight-{weight} space")
     e4 = eisenstein(4, prec)
@@ -121,20 +125,7 @@ def space_basis(weight: int, prec: int) -> MFSpace:
     for _ in range(max(b for _, b in exps)):
         e6_pows.append(e6_pows[-1] * e6)
     basis = tuple(e4_pows[a] * e6_pows[b] for a, b in exps)
-
-    # every monomial has constant term 1, so the differences from the first
-    # span S_weight, and the reduced echelon form of a spanning set is unique
-    rows = [[Fraction(c) for c in (m - basis[0]).coeffs] for m in basis[1:]]
-    reduced = rref(rows)
-    if len(reduced) != n_cusp:
-        raise PrecisionError("echelonization did not produce the expected cusp basis")
-    cusp = []
-    for i, row in enumerate(reduced):
-        # staircase check: pivot must sit at q^(i+1)
-        if row[i + 1] != 1 or any(row[j] for j in range(i + 1)):
-            raise PrecisionError("cusp basis is not in staircase form")
-        cusp.append(IntQSeries(0, row))
-    return MFSpace(weight, dim_total, n_cusp, basis, tuple(cusp), prec)
+    return MFSpace(weight, dim_total, dim_total - 1, basis, prec)
 
 
 def decompose(f: IntQSeries, space: MFSpace) -> list[Fraction]:

@@ -1,7 +1,10 @@
 """Hecke operators, eigenforms over quadratic fields, and the trace series
 carried by the cuspidal part of the eta brackets.
 
-``cusp_part`` is the one construction of that cuspidal part,
+``eigen_coordinates`` is the one eigen solve: it diagonalizes T_2 on the
+Delta E4^a E6^b basis of S_w (``forms.cusp_monomials``), and both
+``eigenforms`` and the Dirichlet side read its coordinates.
+``cusp_part`` is the one construction of the cuspidal part,
 eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}; the weight-2nu trace sequence is
 its q^n coefficient for n >= 1.  (``partitions.recurrence_rhs`` writes the
 Eisenstein term from the sigma_{2nu-1} formula instead, so the
@@ -20,7 +23,7 @@ from math import comb, gcd, isqrt
 
 from .errors import PrecisionError, UnsupportedHeckeFieldError
 from .exactnum import QuadNum, solve
-from .forms import dim_cusp, eisenstein, space_basis
+from .forms import cusp_monomials, dim_cusp, eisenstein
 from .qseries import IntQSeries
 from .rankincohen import eta_bracket
 
@@ -29,6 +32,7 @@ __all__ = [
     "TraceSeries",
     "hecke_operator",
     "hecke_action",
+    "eigen_coordinates",
     "eigenforms",
     "cusp_part",
     "trace_series",
@@ -139,55 +143,61 @@ def _squarefree_split(n: int, bound: int = 10**6) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=8)
-def eigenforms(weight: int, prec: int = _EIGEN_PREC) -> tuple[Eigenform, ...]:
-    """Normalized Hecke eigenforms of S_weight for dim 1 or 2.
+def eigen_coordinates(weight: int) -> tuple[int, tuple[tuple[QuadNum, ...], ...]]:
+    """(d, coords): each normalized eigenform of S_weight, dim 1 or 2, as
+    its coordinates over Q(sqrt(d)) in the Delta E4^a E6^b basis.
 
-    For dim 2 the matrix of T_2 on the echelon cusp basis is diagonalized
-    exactly over Q(sqrt(d)); forms are ordered so the first has the negative
-    sqrt(d)-part in a(2).  Larger dimensions raise UnsupportedHeckeFieldError.
+    For dim 2 the matrix of T_2 on that basis is diagonalized exactly;
+    each column solves for T_2 of one basis form from the coefficients at
+    q^1..q^dim.  Every basis form starts with q, so a(1) is the sum of the
+    coordinates, which normalizes each eigenvector.  Forms are ordered so
+    the first has the negative sqrt(d)-part in a(2).  Larger dimensions,
+    and a T_2 reducible over Q, raise UnsupportedHeckeFieldError.
     """
     if weight < 12 or weight % 2:
         raise ValueError("eigenforms needs an even weight >= 12")
     dim = dim_cusp(weight)
     if dim not in (1, 2):
         raise UnsupportedHeckeFieldError(f"dim S_{weight} = {dim} is not supported")
-    space = space_basis(weight, max(prec, 2 * dim + 4))
-    h = space.cusp_basis
     if dim == 1:
-        coeffs = tuple(QuadNum(h[0].coeff(n)) for n in range(prec))
-        forms = (Eigenform(weight, 1, coeffs),)
-    else:
-        t2 = [hecke_operator(hi, weight, 2) for hi in h]
-        # echelon basis makes the matrix entries direct coefficient reads
-        m11, m21 = t2[0].coeff(1), t2[0].coeff(2)
-        m12, m22 = t2[1].coeff(1), t2[1].coeff(2)
-        if m12 == 0:
-            raise UnsupportedHeckeFieldError("T_2 matrix is reducible over Q")
-        tr = m11 + m22
-        det = m11 * m22 - m12 * m21
-        disc = tr * tr - 4 * det
-        if disc.denominator != 1 or disc < 0:
-            raise UnsupportedHeckeFieldError(f"unexpected T_2 discriminant {disc}")
-        s, d = _squarefree_split(disc.numerator)
-        if d == 1:
-            lams = [QuadNum(Fraction(tr - s, 2)), QuadNum(Fraction(tr + s, 2))]
-        else:
-            lams = [
-                QuadNum(Fraction(tr, 2), Fraction(-s, 2), d),
-                QuadNum(Fraction(tr, 2), Fraction(s, 2), d),
-            ]
-        forms = []
-        for lam in lams:
-            x2 = (lam - m11) / m12
-            coeffs = tuple(
-                QuadNum(h[0].coeff(n)) + x2 * h[1].coeff(n) for n in range(prec)
-            )
-            forms.append(Eigenform(weight, d, coeffs))
-        forms.sort(key=lambda f: f.a(2).embed())
-        forms = tuple(forms)
+        return 1, ((QuadNum(1),),)
+    # T_2 reads q^1..q^(2 dim); eigenforms reads the same tables at its default
+    rows = cusp_monomials(weight, _EIGEN_PREC)
+    head = [[Fraction(row[n]) for row in rows] for n in range(1, dim + 1)]
+    # column j holds the coordinates of T_2 applied to basis form j
+    (m11, m21), (m12, m22) = (solve(head, hecke_action(row, weight, 2, dim + 1)[1:]) for row in rows)
+    tr = m11 + m22
+    det = m11 * m22 - m12 * m21
+    disc = tr * tr - 4 * det
+    if disc.denominator != 1 or disc <= 0:
+        raise UnsupportedHeckeFieldError(f"unexpected T_2 discriminant {disc}")
+    s, d = _squarefree_split(disc.numerator)
+    if d == 1:
+        raise UnsupportedHeckeFieldError("T_2 matrix is reducible over Q")
+    # a normalized eigenform's a(2) is its T_2 eigenvalue, so this is a(2) order
+    coords = []
+    for lam in (QuadNum(Fraction(tr, 2), Fraction(sign * s, 2), d) for sign in (-1, 1)):
+        # the eigenvector (m12, lam - m11), scaled to a(1) = the sum of its coordinates = 1
+        a1 = lam - m11 + m12
+        coords.append((m12 / a1, (lam - m11) / a1))
+    return d, tuple(coords)
+
+
+@lru_cache(maxsize=8)
+def eigenforms(weight: int, prec: int = _EIGEN_PREC) -> tuple[Eigenform, ...]:
+    """Normalized Hecke eigenforms of S_weight for dim 1 or 2, read from
+    ``eigen_coordinates`` and the Delta E4^a E6^b tables, in its order."""
+    d, coords = eigen_coordinates(weight)
+    rows = cusp_monomials(weight, prec)
+    forms = []
+    for c in coords:
+        # the rational and sqrt(d) parts summed in Q: one QuadNum per coefficient
+        a = [sum(x.a * row[n] for x, row in zip(c, rows)) for n in range(prec)]
+        b = [sum(x.b * row[n] for x, row in zip(c, rows)) for n in range(prec)]
+        forms.append(Eigenform(weight, d, tuple(QuadNum(an, bn, d) for an, bn in zip(a, b))))
     for f in forms:
         _check_eigenform(f)
-    return forms
+    return tuple(forms)
 
 
 def _check_eigenform(f: Eigenform) -> None:

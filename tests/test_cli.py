@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,17 @@ import pytest
 import pentarc
 from pentarc import dirichlet as dmod
 from pentarc import partitions
-from pentarc.cli import MAX_GPOLY_K, MAX_GPOLY_K_COUNT, MAX_GPOLY_N, MAX_NU, MAX_TRACE_N, main
+from pentarc.cli import (
+    MAX_BIG_M,
+    MAX_GPOLY_K,
+    MAX_GPOLY_K_COUNT,
+    MAX_GPOLY_N,
+    MAX_NU,
+    MAX_PARTITION_N,
+    MAX_PREC,
+    MAX_TRACE_N,
+    main,
+)
 from pentarc.rademacher import MAX_DEPTH_C
 
 
@@ -157,13 +168,12 @@ def test_big_n_out_of_range_exits_2(capsys, big_n):
 
 
 def test_corrupt_monomial_table_exits_3(capsys, monkeypatch):
-    real = dmod.cusp_monomial_coeffs
+    real = dmod.cusp_monomials
 
-    def corrupted(a4, b6, indices, mmax):
-        values = real(a4, b6, indices, mmax)
-        return [v + 1 if m == 2 else v for m, v in zip(indices, values)]
+    def corrupted(weight, length):
+        return [[v + 1 if m == 2 else v for m, v in enumerate(row)] for row in real(weight, length)]
 
-    monkeypatch.setattr(dmod, "cusp_monomial_coeffs", corrupted)
+    monkeypatch.setattr(dmod, "cusp_monomials", corrupted)
     dmod.embedded_eigenforms.cache_clear()
     try:
         code = main(["--big-m", "0", "--big-n", "61", "dirichlet", "6"])
@@ -361,6 +371,65 @@ def test_gpoly_at_its_ceilings_prints_every_digit(capsys):
     assert code == 0 and len(data["results"][0]["value"]) > 4000
 
 
+@pytest.mark.parametrize(
+    "flag, key, ceiling, command",
+    [("--prec", "prec", MAX_PREC, ["pnu", "6"]), ("--big-m", "big_m", MAX_BIG_M, ["dirichlet", "6"])],
+)
+def test_truncation_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, flag, key, ceiling, command):
+    value = ceiling + 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    env = "PENTARC_" + key.upper()
+    # the flag, the environment and the config file all reach the same check
+    for argv, env_value in (([flag, str(value)], None), ([], str(value)), (["--config", str(config)], None)):
+        if env_value is None:
+            monkeypatch.delenv(env, raising=False)
+        else:
+            monkeypatch.setenv(env, env_value)
+        start = time.perf_counter()
+        code = main(argv + command)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and elapsed < 1
+        assert f"pentarc: {flag} must be at most {ceiling}, got {value}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("prec", ["--prec", str(MAX_PREC), "pnu", "0"]),
+        ("big_m", ["--big-m", str(MAX_BIG_M), "--big-n", "1", "dirichlet", "6"]),
+    ],
+)
+def test_truncation_at_its_ceiling(capsys, key, argv):
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and data["config"][key] == int(argv[1])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", str(MAX_PARTITION_N + 1)], f"n must be at most {MAX_PARTITION_N}"),
+        (["partition", f"1..{MAX_PARTITION_N + 1}", "--method", "rademacher:5"], f"n must be at most {MAX_PARTITION_N}"),
+        (["partition", str(MAX_TRACE_N + 1), "--method", "trace:6"], f"--method trace:6 needs n <= {MAX_TRACE_N}"),
+    ],
+)
+def test_partition_n_above_ceiling_exits_2(capsys, argv, message):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 1
+    assert f"pentarc: argument n: {message}, got" in captured.err
+
+
+def test_partition_trace_method_at_its_ceiling(capsys):
+    # weight 14 has no cusp form, so only the Euler table is built
+    code, data = run_json(capsys, "partition", str(MAX_TRACE_N), "--method", "trace:7")
+    assert code == 0 and data["results"][0]["n"] == MAX_TRACE_N
+
+
 @pytest.mark.parametrize("n", ["3", "1..3000"])  # output inside and beyond stdout's buffer
 def test_closed_stdout_exits_2_without_traceback(n):
     # stdout block-buffered, as on a plain pipe, so the flush at exit is exercised too
@@ -392,14 +461,14 @@ def test_depth_c_outside_domain_exits_2(capsys, monkeypatch, depth):
 
 
 def test_nonintegral_eigenform_coordinate_exits_3(capsys, monkeypatch):
-    real = dmod._eigenform_monomial_coords
+    real = dmod.eigen_coordinates
 
-    def perturbed(nu):
-        exps, coords = real(nu)
+    def perturbed(weight):
+        d, coords = real(weight)
         first = (coords[0][0] + Fraction(1, 7),) + coords[0][1:]
-        return exps, (first,) + coords[1:]
+        return d, (first,) + coords[1:]
 
-    monkeypatch.setattr(dmod, "_eigenform_monomial_coords", perturbed)
+    monkeypatch.setattr(dmod, "eigen_coordinates", perturbed)
     dmod.embedded_eigenforms.cache_clear()
     try:
         code = main(["--big-m", "0", "--big-n", "61", "dirichlet", "12"])

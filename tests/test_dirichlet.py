@@ -9,7 +9,6 @@ import pytest
 from pentarc._coeffs import cusp_monomial_coeffs
 from pentarc.dirichlet import (
     DEFAULT_BIG_M,
-    _eigenform_monomial_coords,
     _float_weights,
     _half_product,
     _multiplicative_coeff,
@@ -26,8 +25,8 @@ from pentarc.dirichlet import (
 )
 from pentarc.errors import InternalCancellationError, PrecisionError
 from pentarc.exactnum import QuadNum
-from pentarc.forms import delta
-from pentarc.hecke import eigenform_projections, eigenforms
+from pentarc.forms import _monomial_exponents, delta
+from pentarc.hecke import eigen_coordinates, eigenform_projections, eigenforms
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +228,8 @@ def test_scale_double_sums_pinned():
 def _embedded_full_range(nu, N):
     """Monomial tables at every needed index, then sum_j c_j table_j embedded."""
     indices = tuple((n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1)
-    exps, coords = _eigenform_monomial_coords(nu)
+    exps = _monomial_exponents(2 * nu - 12)
+    _, coords = eigen_coordinates(2 * nu)
     tables = [cusp_monomial_coeffs(a, b, indices, indices[-1]) for a, b in exps]
     out = []
     for c in coords:
@@ -297,7 +297,7 @@ def test_half_product_matches_quadnum():
 
 @pytest.mark.parametrize(
     "cached",
-    [embedded_eigenforms, _eigenform_monomial_coords, _float_weights, eigenforms, eigenform_projections],
+    [embedded_eigenforms, eigen_coordinates, _float_weights, eigenforms, eigenform_projections],
 )
 def test_petersson_path_caches_are_bounded(cached):
     assert isinstance(cached.cache_info().maxsize, int)

@@ -7,6 +7,7 @@ from pentarc.errors import NotInSpaceError, PrecisionError
 from pentarc.exactnum import bernoulli, rref
 from pentarc.forms import (
     cusp_generator,
+    cusp_monomials,
     decompose,
     delta,
     dim_cusp,
@@ -95,18 +96,24 @@ def test_space_basis_staircase():
     for weight in (12, 16, 24, 26, 28):
         sp = space_basis(weight, 20)
         assert len(sp.basis) == sp.dim_total
-        assert len(sp.cusp_basis) == sp.dim_cusp
-        for i, h in enumerate(sp.cusp_basis):
-            assert h.coeff(i + 1) == 1
-            assert all(h.coeff(j) == 0 for j in range(i + 1))
-            assert all(h.coeff(j + 1) == 0 for j in range(sp.dim_cusp) if j != i)
-    # the echelon form of the monomials minus E_w spans the same space
+        assert sp.dim_cusp == dim_cusp(weight) == sp.dim_total - 1
+    # the monomials minus the first span S_weight, which the Delta E4^a E6^b
+    # forms span too, and those are fixed by their coefficients at q^1..q^dim
     for weight in range(12, 41, 2):
         sp = space_basis(weight, 20)
-        ew = eisenstein(weight, 20)
-        rows = [[m.coeff(n) - ew.coeff(n) for n in range(20)] for m in sp.basis]
-        want = rref(rows)
-        assert [[h.coeff(n) for n in range(20)] for h in sp.cusp_basis] == want, weight
+        cusp = [[F(c) for c in row] for row in cusp_monomials(weight, 20)]
+        assert len(cusp) == sp.dim_cusp
+        assert len(rref([row[1 : sp.dim_cusp + 1] for row in cusp])) == sp.dim_cusp, weight
+        diffs = [[F(m.coeff(n) - sp.basis[0].coeff(n)) for n in range(20)] for m in sp.basis[1:]]
+        assert rref(diffs) == rref(cusp) == rref(cusp + diffs), weight
+
+
+@pytest.mark.parametrize("cached", [space_basis, eisenstein])
+def test_form_caches_are_bounded(cached):
+    for prec in range(20, 120):
+        cached(12, prec)
+    info = cached.cache_info()
+    assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize
 
 
 def test_space_basis_precision_guard():

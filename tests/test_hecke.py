@@ -175,3 +175,56 @@ def test_ramanujan_congruence():
     d = delta(51)
     for n in range(1, 51):
         assert (d.coeff(n) - sigma(11, n)) % 691 == 0
+
+
+def _hurwitz_class_number(n):
+    """H(n) for n > 0: classes of positive definite forms a x^2 + b xy + c y^2
+    of discriminant -n, counted over the reduced forms |b| <= a <= c (b >= 0
+    when |b| = a or a = c), with a(x^2 + y^2) weighted 1/2 and
+    a(x^2 + xy + y^2) weighted 1/3."""
+    total = F(0)
+    a = 1
+    while 3 * a * a <= n:
+        for b in range(-a + 1, a + 1):
+            if (b * b + n) % (4 * a):
+                continue
+            c = (b * b + n) // (4 * a)
+            if c < a or (c == a and b < 0):
+                continue
+            if b == 0 and c == a:
+                total += F(1, 2)
+            elif b == a == c:
+                total += F(1, 3)
+            else:
+                total += 1
+        a += 1
+    return total
+
+
+def _eichler_selberg_trace(k, n):
+    """tr T_n on S_k (level 1, even k >= 4), in Zagier's form:
+    -1/2 sum_{t^2 <= 4n} P_k(t, n) H(4n - t^2) - 1/2 sum_{dd' = n} min(d, d')^(k-1),
+    with H(0) = -1/12 and P_k(t, n) the x^(k-2) coefficient of 1/(1 - tx + nx^2)."""
+    total = F(0)
+    t = 0
+    while t * t <= 4 * n:
+        p_prev, p = 0, 1  # coefficients of x^(j-1) and x^j, from j = 0
+        for _ in range(k - 2):
+            p_prev, p = p, t * p - n * p_prev
+        h = F(-1, 12) if t * t == 4 * n else _hurwitz_class_number(4 * n - t * t)
+        # t and -t agree, since k - 2 is even
+        total += (1 if t == 0 else 2) * p * h
+        t += 1
+    total += sum(min(d, n // d) ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+    return -total / 2
+
+
+def test_eichler_selberg_trace_formula():
+    assert [_hurwitz_class_number(n) for n in (3, 4, 7, 8, 11, 12, 15, 20, 23)] == [
+        F(1, 3), F(1, 2), 1, 1, 1, F(4, 3), 2, 2, 3,
+    ]
+    assert _eichler_selberg_trace(36, 1) == 3 and _eichler_selberg_trace(36, 2) == 139656
+    for k in (12, 16, 24, 26, 28, 30, 32, 34, 38):
+        fs = eigenforms(k)
+        for n in (1, 2, 3, 5, 7):
+            assert sum((f.a(n) for f in fs), QuadNum(0)) == _eichler_selberg_trace(k, n), (k, n)

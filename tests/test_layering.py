@@ -26,7 +26,7 @@ LAYERS = {
     "forms": {"_coeffs", "errors", "exactnum", "qseries"},
     "rankincohen": {"errors", "exactnum", "partitions", "qseries"},
     "hecke": {"errors", "exactnum", "forms", "qseries", "rankincohen"},
-    "dirichlet": {"_coeffs", "arith", "errors", "exactnum", "forms", "hecke"},
+    "dirichlet": {"arith", "errors", "exactnum", "forms", "hecke"},
     "verify": {
         "arith", "dirichlet", "exactnum", "forms", "hecke", "partitions", "qseries",
         "rademacher", "rankincohen",
