@@ -14,19 +14,22 @@ bracket against f, scaled by 24^nu; dividing by the exact projection ratio
 from the hecke module therefore estimates the Petersson norm of f.
 
 The coefficients a_f((n^2-1)/24) reach ~N^2/24, but the exact monomial
-tables are built only to N + 1 and read at its primes: a normalized level-1
-eigenform of weight w has multiplicative coefficients with
+tables are built only to N + 1.  A normalized level-1 eigenform has
+multiplicative coefficients, and for n > 1 prime to 6 the index splits
+into three pairwise coprime factors, each at most n + 1:
 
-    a(p^(k+1)) = a(p) a(p^k) - p^(w-1) a(p^(k-1)),
+    (n^2-1)/24 = 2^e u v,
 
-and every prime power dividing (n^2-1)/24 divides n - 1 or n + 1 (their gcd
-is 2), so it is at most n + 1.  The coefficients are algebraic integers of
-Q(sqrt(d)), so 2a = x + y sqrt(d) with integers x and y.  Each needed
-coefficient is assembled exactly as such a pair from a_f(p), p <= N + 1,
-in Python ints: a product of pairs halves ((x1 x2 + d y1 y2)/2,
-(x1 y2 + x2 y1)/2), and each halving, like the division by the common
-denominator of the eigenform's coordinates in the Delta E4^a E6^b basis
-(``hecke.eigen_coordinates``, read as they are), is checked exact.
+with u and v the odd parts of n - 1 and n + 1 (gcd 2), the one that 3
+divides divided by 3, and e = s + t - 3 for the 2-adic valuations s, t of
+n - 1 and n + 1.  So a_f((n^2-1)/24) = a_f(2^e) a_f(u) a_f(v), three
+table reads.  The coefficients are algebraic integers of Q(sqrt(d)), so
+2a = x + y sqrt(d) with integers x and y, and each coefficient is
+assembled exactly as such a pair, in Python ints: a product of pairs
+halves ((x1 x2 + d y1 y2)/2, (x1 y2 + x2 y1)/2), and each halving, like
+the division by the common denominator of the eigenform's coordinates in
+the Delta E4^a E6^b basis (``hecke.eigen_coordinates``, read as they
+are), is checked exact.
 Every assembled index the table reaches directly is checked against it,
 and each coefficient is rounded to a float once.
 
@@ -45,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
@@ -270,15 +273,6 @@ class EmbeddedEigenform:
             raise PrecisionError(f"coefficient {m} not tabulated") from None
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = bytes(2)
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(n + 1) if sieve[p]]
-
-
 def _half_product(p: tuple[int, int], q: tuple[int, int], d: int) -> tuple[int, int]:
     """The pair of 2ab from the pairs of 2a and 2b, where the pair (x, y)
     stands for x + y sqrt(d): ((x1 x2 + d y1 y2)/2, (x1 y2 + x2 y1)/2).
@@ -292,48 +286,21 @@ def _half_product(p: tuple[int, int], q: tuple[int, int], d: int) -> tuple[int, 
     return x >> 1, y >> 1
 
 
-def _prime_power_coeffs(
-    at_prime: dict[int, tuple[int, int]], weight: int, top: int, d: int
-) -> dict[int, tuple[int, int]]:
-    """The pair of 2a_f(p^k) for every prime power p^k <= top from the pairs
-    of 2a_f(p), by the Hecke relation
-    2a(p^(k+1)) = 2a(p) 2a(p^k) / 2 - p^(w-1) 2a(p^(k-1))."""
-    out = {}
-    for p, a_p in at_prime.items():
-        scale = p ** (weight - 1)
-        prev, cur, q = (2, 0), a_p, p
-        out[q] = cur
-        while q * p <= top:
-            x, y = _half_product(a_p, cur, d)
-            prev, cur, q = cur, (x - scale * prev[0], y - scale * prev[1]), q * p
-            out[q] = cur
-    return out
-
-
-def _multiplicative_coeff(
-    m: int, primes: list[int], at_power: dict[int, tuple[int, int]], d: int
-) -> tuple[int, int]:
-    """The pair of 2a_f(m), m >= 1, as the product of a_f(q) over the prime
-    powers q exactly dividing m, found by trial division with ``primes``
-    (ascending)."""
-    value = (2, 0)
-    rest = m
-    for p in primes:
-        if p * p > rest:
-            break
-        q = 1
-        while rest % p == 0:
-            rest //= p
-            q *= p
-        if q > 1:
-            value = _half_product(value, at_power[q], d)
-    if rest > 1:
-        if rest not in at_power:
-            raise InternalCancellationError(
-                f"prime factor {rest} of index {m} lies beyond the tabulated primes"
-            )
-        value = _half_product(value, at_power[rest], d)
-    return value
+def _coprime_split(n: int) -> tuple[int, int, int]:
+    """(e, u, v) with (n^2-1)/24 = 2^e u v for n > 1 prime to 6: u and v
+    are the odd parts of n - 1 and n + 1, the one that 3 divides divided by
+    3, and e = s + t - 3 for their 2-adic valuations s and t.  The factors
+    are pairwise coprime, since gcd(n - 1, n + 1) = 2, and each is at most
+    n + 1."""
+    lo, hi = n - 1, n + 1
+    s = (lo & -lo).bit_length() - 1  # x & -x is the largest power of 2 dividing x
+    t = (hi & -hi).bit_length() - 1
+    u, v = lo >> s, hi >> t
+    if u % 3:
+        v //= 3
+    else:
+        u //= 3
+    return s + t - 3, u, v
 
 
 def _integer_coords(coords: tuple[QuadNum, ...]) -> tuple[int, list[int], list[int]]:
@@ -348,18 +315,17 @@ def _integer_coords(coords: tuple[QuadNum, ...]) -> tuple[int, list[int], list[i
 def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     """Embedded coefficient tables covering every index (n^2-1)/24, n <= N.
 
-    The monomial tables reach only N + 1.  Each coefficient a is carried
-    exactly as the integer pair (x, y) with 2a = x + y sqrt(d), assembled
-    from the a_f(p), p <= N + 1, and rounded once at embedding time, to
-    the same float as the exact x/2 + (y/2) sqrt(d) in Q(sqrt(d)); every
-    needed index <= N + 1 is also read straight from the tables and must
-    agree with its assembly.
+    The monomial tables reach only N + 1 (length N + 2).  Each coefficient
+    a is carried exactly as the integer pair (x, y) with 2a = x + y sqrt(d),
+    assembled as a(2^e) a(u) a(v) from the ``_coprime_split`` of its n, and
+    rounded once at embedding time, to the same float as the exact
+    x/2 + (y/2) sqrt(d) in Q(sqrt(d)); every needed index <= N + 1 is also
+    read straight from the tables and must agree with its assembly.
     """
     if dim_cusp(2 * nu) == 0:
         raise ValueError(f"S_{2*nu} is trivial")
     top = N + 1
-    indices = [(n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1]
-    primes = _primes_upto(top)
+    splits = [((n * n - 1) // 24, _coprime_split(n)) for n in range(5, N + 1) if gcd(n, 6) == 1]
     weight = 2 * nu
     d, coords = eigen_coordinates(weight)
     tables = cusp_monomials(weight, top + 1)
@@ -367,21 +333,24 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     out = []
     for c in coords:
         den, us, vs = _integer_coords(c)
+        read = {}
 
         def from_tables(m: int) -> tuple[int, int]:
-            x = 2 * sum(u * t[m] for u, t in zip(us, tables))
-            y = 2 * sum(v * t[m] for v, t in zip(vs, tables))
-            if x % den or y % den:
-                raise InternalCancellationError(
-                    f"coefficient {m} of the weight-{weight} eigenform is not an algebraic integer"
-                )
-            return x // den, y // den
+            pair = read.get(m)
+            if pair is None:
+                x = 2 * sum(u * t[m] for u, t in zip(us, tables))
+                y = 2 * sum(v * t[m] for v, t in zip(vs, tables))
+                if x % den or y % den:
+                    raise InternalCancellationError(
+                        f"coefficient {m} of the weight-{weight} eigenform is not an algebraic integer"
+                    )
+                pair = read[m] = (x // den, y // den)
+            return pair
 
-        at_power = _prime_power_coeffs({p: from_tables(p) for p in primes}, weight, top, d)
         sqrt_d = math.sqrt(d)
-        values = {}
-        for m in indices:
-            pair = _multiplicative_coeff(m, primes, at_power, d) if m else (0, 0)
+        values = {0: 0.0}  # n = 1: a cusp form has a(0) = 0
+        for m, (e, u, v) in splits:
+            pair = _half_product(_half_product(from_tables(1 << e), from_tables(u), d), from_tables(v), d)
             if m <= top and pair != from_tables(m):
                 raise InternalCancellationError(
                     f"coefficient {m} of the weight-{weight} eigenform breaks Hecke multiplicativity"

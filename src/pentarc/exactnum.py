@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import GammaPoleError, InternalCancellationError
+from .errors import GammaPoleError, InternalCancellationError, UnsupportedHeckeFieldError
 
 Rat = Fraction
 
@@ -31,6 +31,7 @@ __all__ = [
     "gamma_exact",
     "rref",
     "solve",
+    "squarefree_split",
 ]
 
 
@@ -135,18 +136,40 @@ class PiScalar:
         return f"PiScalar({self.coeff!r}, half_pi_pow={self.half_pi_pow})"
 
 
-@lru_cache(maxsize=None)
-def _is_squarefree(d: int) -> bool:
-    if d <= 0:
-        return False
-    if d % 4 == 0:
-        return False
-    p = 3
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        p += 2
-    return True
+@lru_cache(maxsize=32)
+def squarefree_split(n: int, bound: int = 10**6) -> tuple[int, int]:
+    """n = s^2 * d with d squarefree; trial division up to ``bound``.
+
+    Errors when the square part cannot be certified (a prime factor above
+    the bound could still appear squared).  ``QuadNum`` validates its d
+    here on every construction, so the cache keeps that O(1).
+    """
+    if n <= 0:
+        raise ValueError("only positive integers are split")
+    s, d = 1, 1
+    rest = n
+    p = 2
+    while p <= bound and p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        r = math.isqrt(rest)
+        if r * r == rest:
+            s *= r
+        elif rest <= bound * bound:
+            d *= rest  # no factor <= bound, so rest is squarefree
+        else:
+            raise UnsupportedHeckeFieldError(
+                f"cannot certify squarefree part of {n} with trial division to {bound}"
+            )
+    return s, d
 
 
 class QuadNum:
@@ -165,7 +188,7 @@ class QuadNum:
         d = int(d)
         if b == 0:
             d = 1
-        if not _is_squarefree(d):
+        if d <= 0 or squarefree_split(d)[0] != 1:
             raise ValueError(f"d = {d} is not a squarefree positive integer")
         self.a = a
         self.b = b

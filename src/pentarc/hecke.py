@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 from .errors import PrecisionError, UnsupportedHeckeFieldError
-from .exactnum import QuadNum, solve
+from .exactnum import QuadNum, solve, squarefree_split
 from .forms import cusp_monomials, dim_cusp, eisenstein
 from .qseries import IntQSeries
 from .rankincohen import eta_bracket
@@ -108,40 +108,6 @@ class TraceSeries:
         return self.values[n]
 
 
-def _squarefree_split(n: int, bound: int = 10**6) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; trial division up to ``bound``.
-
-    Errors when the square part cannot be certified (a prime factor above
-    the bound could still appear squared).
-    """
-    if n <= 0:
-        raise ValueError("only positive integers are split")
-    s, d = 1, 1
-    rest = n
-    p = 2
-    while p <= bound and p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        r = isqrt(rest)
-        if r * r == rest:
-            s *= r
-        elif rest <= bound * bound:
-            d *= rest  # no factor <= bound, so rest is squarefree
-        else:
-            raise UnsupportedHeckeFieldError(
-                f"cannot certify squarefree part of {n} with trial division to {bound}"
-            )
-    return s, d
-
-
 @lru_cache(maxsize=8)
 def eigen_coordinates(weight: int) -> tuple[int, tuple[tuple[QuadNum, ...], ...]]:
     """(d, coords): each normalized eigenform of S_weight, dim 1 or 2, as
@@ -171,7 +137,7 @@ def eigen_coordinates(weight: int) -> tuple[int, tuple[tuple[QuadNum, ...], ...]
     disc = tr * tr - 4 * det
     if disc.denominator != 1 or disc <= 0:
         raise UnsupportedHeckeFieldError(f"unexpected T_2 discriminant {disc}")
-    s, d = _squarefree_split(disc.numerator)
+    s, d = squarefree_split(disc.numerator)
     if d == 1:
         raise UnsupportedHeckeFieldError("T_2 matrix is reducible over Q")
     # a normalized eigenform's a(2) is its T_2 eigenvalue, so this is a(2) order

@@ -28,6 +28,7 @@ __all__ = [
     "sigma",
     "bracket_weights",
     "recurrence_weight",
+    "pentagonal_numerator_sum",
     "recurrence_rhs",
 ]
 
@@ -150,6 +151,20 @@ def recurrence_weight(nu: int, n: int, k: int) -> Fraction:
     return factor * _weight_numerator(weights, n, k)
 
 
+def pentagonal_numerator_sum(weights: tuple[int, ...], n: int, ptable: PartitionTable) -> int:
+    """sum over k != 0 with omega(k) <= n of (-1)^(k+1) W(n, k) p(n - omega(k)),
+    where W(n, k) = ``_weight_numerator`` is w_nu(n, k) over the per-nu factor
+    of ``bracket_weights``: the recurrence's pentagonal walk, in integers."""
+    acc = 0
+    # one walk, to the table's end, serves every n of a table
+    for k, w in pentagonal_terms(len(ptable) - 1):
+        if w > n:
+            break
+        sign = 1 if k % 2 else -1
+        acc += sign * _weight_numerator(weights, n, k) * ptable.p(n - w)
+    return acc
+
+
 def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> Fraction:
     """Right-hand side of the order-nu recurrence, as an exact rational.
 
@@ -170,11 +185,5 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
         # cannot occur for n >= 1; guard kept so a regression is loud
         raise InternalCancellationError(f"vanishing k=0 weight at nu={nu}, n={n}")
     eis = -Fraction(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2) * sigma(2 * nu - 1, n)
-    acc = 0
-    # one walk, to the table's end, serves every n of a table
-    for k, w in pentagonal_terms(len(ptable) - 1):
-        if w > n:
-            break
-        sign = 1 if k % 2 else -1
-        acc += sign * _weight_numerator(weights, n, k) * ptable.p(n - w)
+    acc = pentagonal_numerator_sum(weights, n, ptable)
     return (eis + trace + factor * acc) / (factor * w0)

@@ -23,7 +23,11 @@ partition numbers alone: the q^n coefficient is
 
     sum_k (-1)^k w_nu(n, k) p(n - omega(k)),
 
-summed over every integer k with omega(k) <= n (k = 0 included).
+summed over every integer k with omega(k) <= n (k = 0 included).  Each
+w_nu(n, k) is an integer numerator over the one per-nu factor of
+``bracket_weights``, so the sums are integers (the k != 0 part is the
+recurrence's walk, ``partitions.pentagonal_numerator_sum``) and the series
+is scaled by that factor once.
 """
 
 from __future__ import annotations
@@ -32,9 +36,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import GammaPoleError, InternalCancellationError
+from .errors import GammaPoleError
 from .exactnum import falling_factorial
-from .partitions import bracket_weights, partition_table, pentagonal_terms, recurrence_weight
+from .partitions import (
+    _weight_numerator,
+    bracket_weights,
+    partition_table,
+    pentagonal_numerator_sum,
+    recurrence_weight,
+)
 from .qseries import IntQSeries, QSeries24, euler_expansion
 
 __all__ = [
@@ -72,11 +82,9 @@ def eta_bracket(nu: int, prec: int) -> IntQSeries:
         raise ValueError("prec must be >= 2")
     # eta = q^(1/24) E and 1/eta = q^(-1/24) E^-1, with prec coefficients each
     euler = euler_expansion(prec)
-    eta_shift24, inv_shift24 = 1, -1
-    if eta_shift24 + inv_shift24:
-        raise InternalCancellationError("bracket terms would not lie on integer exponents")
-    inv_chain = _d24_chain(euler.invert(), inv_shift24, nu)
-    eta_chain = _d24_chain(euler, eta_shift24, nu)
+    # the shifts -1/24 and 1/24 add to zero, so every product lies on integer exponents
+    inv_chain = _d24_chain(euler.invert(), -1, nu)
+    eta_chain = _d24_chain(euler, 1, nu)
     weights, factor = bracket_weights(nu)
     acc = None
     for r, w in enumerate(weights):
@@ -91,18 +99,14 @@ def eta_bracket_from_partitions(nu: int, prec: int) -> IntQSeries:
         raise ValueError("nu must be >= 0")
     if prec < 2:
         raise ValueError("prec must be >= 2")
+    weights, factor = bracket_weights(nu)
     ptable = partition_table(prec - 1)
-    terms = pentagonal_terms(prec - 1)
-    coeffs = []
-    for n in range(prec):
-        acc = recurrence_weight(nu, n, 0) * ptable.p(n)
-        for k, w in terms:
-            if w > n:
-                break
-            sign = -1 if k % 2 else 1
-            acc += sign * recurrence_weight(nu, n, k) * ptable.p(n - w)
-        coeffs.append(acc)
-    return IntQSeries(0, coeffs)
+    # the k = 0 term, less the recurrence's walk over k != 0
+    nums = [
+        _weight_numerator(weights, n, 0) * ptable.p(n) - pentagonal_numerator_sum(weights, n, ptable)
+        for n in range(prec)
+    ]
+    return IntQSeries(0, nums).scale(factor)
 
 
 def _require_no_pole(weight_plus_nu: Fraction) -> None:

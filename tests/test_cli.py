@@ -12,6 +12,7 @@ from pentarc import dirichlet as dmod
 from pentarc import partitions
 from pentarc.cli import (
     MAX_BIG_M,
+    MAX_DPS,
     MAX_GPOLY_K,
     MAX_GPOLY_K_COUNT,
     MAX_GPOLY_N,
@@ -405,6 +406,34 @@ def test_truncation_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, flag, k
 def test_truncation_at_its_ceiling(capsys, key, argv):
     code, data = run_json(capsys, *argv)
     assert code == 0 and data["config"][key] == int(argv[1])
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [f"wide:{MAX_DPS + 1}", "wide:" + "9" * 5000, "wide:\u00b2"],
+    ids=["ceiling+1", "5000-digits", "superscript"],
+)
+def test_float_mode_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, mode):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"float_mode": mode}), encoding="utf-8")
+    # the flag, the environment and the config file all reach the same check
+    for argv, env_value in ((["--float-mode", mode], None), ([], mode), (["--config", str(config)], None)):
+        if env_value is None:
+            monkeypatch.delenv("PENTARC_FLOAT_MODE", raising=False)
+        else:
+            monkeypatch.setenv("PENTARC_FLOAT_MODE", env_value)
+        start = time.perf_counter()
+        code = main(argv + ["--big-m", "0", "--big-n", "1", "dirichlet", "6"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and elapsed < 1
+        assert f"--float-mode must be binary64 or wide:<dps> with integer dps in 15..{MAX_DPS}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_float_mode_at_its_ceiling(capsys):
+    code, data = run_json(capsys, "--float-mode", f"wide:{MAX_DPS}", "--big-m", "0", "--big-n", "1", "dirichlet", "6")
+    assert code == 0 and data["config"]["float_mode"] == f"wide:{MAX_DPS}"
 
 
 @pytest.mark.parametrize(

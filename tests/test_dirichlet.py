@@ -9,10 +9,9 @@ import pytest
 from pentarc._coeffs import cusp_monomial_coeffs
 from pentarc.dirichlet import (
     DEFAULT_BIG_M,
+    _coprime_split,
     _float_weights,
     _half_product,
-    _multiplicative_coeff,
-    _prime_power_coeffs,
     default_big_n,
     dirichlet_double_sum,
     dirichlet_partial,
@@ -254,27 +253,15 @@ def test_embedded_matches_full_range_tables():
                 assert f.a_float(m).hex() == want.hex(), (nu, N, m)
 
 
-def test_hecke_assembly():
-    # pairs (x, y) stand for 2a = x + y sqrt(d); Delta is rational, d = 1
-    d = delta(40)
-    at_prime = {2: (-48, 0), 3: (504, 0), 5: (9660, 0), 7: (-33488, 0)}
-    at_power = _prime_power_coeffs(at_prime, 12, 39, 1)
-    assert sorted(at_power) == [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
-    for m in range(1, 40):
-        if m in (11, 13, 17, 19, 22, 23, 26, 29, 31, 33, 34, 37, 38, 39):
-            with pytest.raises(InternalCancellationError):
-                _multiplicative_coeff(m, list(at_prime), at_power, 1)  # prime factor not tabulated
-        else:
-            assert _multiplicative_coeff(m, list(at_prime), at_power, 1) == (2 * d.coeff(m), 0), m
-
-
-def test_hecke_assembly_quadratic():
-    for f in eigenforms(24):
-        pairs = [(int(2 * a.a), int(2 * a.b)) for a in f.coeffs]
-        primes = [2, 3, 5, 7, 11, 13]
-        at_power = _prime_power_coeffs({p: pairs[p] for p in primes}, 24, 15, f.disc)
-        for m in range(1, 16):
-            assert _multiplicative_coeff(m, primes, at_power, f.disc) == pairs[m], m
+def test_coprime_split_covers_every_index():
+    # a((n^2-1)/24) = a(2^e) a(u) a(v) needs coprime factors inside the tables' N + 1
+    for n in range(5, 10**5 + 1):
+        if gcd(n, 6) != 1:
+            continue
+        e, u, v = _coprime_split(n)
+        assert (u * v) << e == (n * n - 1) // 24, n
+        assert gcd(1 << e, u) == gcd(1 << e, v) == gcd(u, v) == 1, n
+        assert max(1 << e, u, v) <= n + 1, n
 
 
 def test_half_product_matches_quadnum():

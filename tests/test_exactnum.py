@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentarc.errors import GammaPoleError, InternalCancellationError
+from pentarc.errors import GammaPoleError, InternalCancellationError, UnsupportedHeckeFieldError
 from pentarc.exactnum import (
     PiScalar,
     QuadNum,
@@ -17,6 +17,7 @@ from pentarc.exactnum import (
     rising_factorial,
     rref,
     solve,
+    squarefree_split,
 )
 
 # fixed examples keep the test run reproducible; no example database is written
@@ -141,6 +142,23 @@ def test_quadnum_division_and_fields():
     with pytest.raises(ValueError):
         QuadNum(1, 1, 12)  # 4 | 12
     assert QuadNum(1, 0, 5).d == 1  # rational values collapse to d = 1
+    for d in (0, -5):
+        with pytest.raises(ValueError, match="not a squarefree positive integer"):
+            QuadNum(1, 1, d)
+
+
+def test_squarefree_split():
+    for n in range(1, 3000):
+        s, d = squarefree_split(n)
+        assert s * s * d == n, n
+        assert all(d % (p * p) for p in range(2, isqrt(d) + 1)), n
+    assert squarefree_split(13 * 13, bound=10) == (13, 1)  # a square left over past the bound
+    with pytest.raises(UnsupportedHeckeFieldError):
+        squarefree_split(13 * 17 * 19, bound=10)  # 4199 > 10^2: a square factor cannot be ruled out
+    with pytest.raises(ValueError):
+        squarefree_split(0)
+    # QuadNum validates d through it on every construction
+    assert isinstance(squarefree_split.cache_info().maxsize, int)
 
 
 def test_quadnum_embedding_order():
