@@ -23,15 +23,13 @@ into three pairwise coprime factors, each at most n + 1:
 with u and v the odd parts of n - 1 and n + 1 (gcd 2), the one that 3
 divides divided by 3, and e = s + t - 3 for the 2-adic valuations s, t of
 n - 1 and n + 1.  So a_f((n^2-1)/24) = a_f(2^e) a_f(u) a_f(v), three
-table reads.  The coefficients are algebraic integers of Q(sqrt(d)), so
-2a = x + y sqrt(d) with integers x and y, and each coefficient is
-assembled exactly as such a pair, in Python ints: a product of pairs
-halves ((x1 x2 + d y1 y2)/2, (x1 y2 + x2 y1)/2), and each halving, like
-the division by the common denominator of the eigenform's coordinates in
-the Delta E4^a E6^b basis (``hecke.eigen_coordinates``, read as they
-are), is checked exact.
-Every assembled index the table reaches directly is checked against it,
-and each coefficient is rounded to a float once.
+table reads.  The tables are ``hecke.eigen_pairs``: the coefficients are
+algebraic integers of Q(sqrt(d)), so 2a = x + y sqrt(d) with integers x
+and y, checked integral there, and each coefficient is assembled exactly
+as such a pair, in Python ints: a product of pairs halves
+((x1 x2 + d y1 y2)/2, (x1 y2 + x2 y1)/2), and each halving is checked
+exact.  Every assembled index the table reaches directly is checked
+against it, and each coefficient is rounded to a float once.
 
 Summation is j-outer, m-inner, n-innermost, with Neumaier-compensated
 accumulation so results reproduce across platforms to >= 12 digits.  The
@@ -48,13 +46,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
 from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial
-from .forms import cusp_monomials, dim_cusp
-from .hecke import eigen_coordinates, eigenform_projections
+from .forms import dim_cusp
+from .hecke import eigen_pairs, eigenform_projections
 
 __all__ = [
     "DEFAULT_BIG_M",
@@ -133,10 +131,7 @@ def dirichlet_weight(nu: int, j: int, m: int) -> PiScalar:
 def dirichlet_weight_float(nu: int, j: int, m: int, dps: int | None = None) -> float:
     """Float value of dirichlet_weight; optional mpmath evaluation at ``dps``
     decimal digits for wide-precision cross-checks."""
-    return _pi_scalar_float(dirichlet_weight(nu, j, m), dps)
-
-
-def _pi_scalar_float(w: PiScalar, dps: int | None) -> float:
+    w = dirichlet_weight(nu, j, m)
     if dps is None:
         return float(w)
     import mpmath
@@ -221,16 +216,23 @@ def dirichlet_partial(f, N: int, s: int) -> float:
 def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float], ...]:
     """(s, beta(nu, j, m)) as floats in summation order, j outer, m inner,
     with s = 2nu+1+2m+2j.  The exact weights step in m by
-    beta(nu, j, m) = beta(nu, j, m-1) (2nu+m-2)/m, which gives the same
-    floats as calling dirichlet_weight for every (j, m)."""
-    out = []
+    beta(nu, j, m) = beta(nu, j, m-1) (2nu+m-2)/m and share one power of
+    pi, evaluated once: the same floats as dirichlet_weight_float."""
+    exact = []
     for j in range(nu - 1):
         weight = dirichlet_weight(nu, j, 0)
         for m in range(M + 1):
             if m:
                 weight = weight * Fraction(2 * nu + m - 2, m)
-            out.append((2 * nu + 1 + 2 * m + 2 * j, _pi_scalar_float(weight, dps)))
-    return tuple(out)
+            exact.append((2 * nu + 1 + 2 * m + 2 * j, weight.coeff))
+    if dps is None:
+        scale = math.pi ** (weight.half_pi_pow / 2)
+        return tuple((s, float(c) * scale) for s, c in exact)
+    import mpmath
+
+    with mpmath.workdps(dps):
+        scale = mpmath.pi ** (mpmath.mpf(weight.half_pi_pow) / 2)
+        return tuple((s, float(mpmath.mpf(c.numerator) / c.denominator * scale)) for s, c in exact)
 
 
 def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> float:
@@ -303,55 +305,30 @@ def _coprime_split(n: int) -> tuple[int, int, int]:
     return s + t - 3, u, v
 
 
-def _integer_coords(coords: tuple[QuadNum, ...]) -> tuple[int, list[int], list[int]]:
-    """(D, u, v) with coords[j] = (u[j] + v[j] sqrt(d)) / D: one denominator."""
-    den = 1
-    for c in coords:
-        den = lcm(den, c.a.denominator, c.b.denominator)
-    return den, [int(c.a * den) for c in coords], [int(c.b * den) for c in coords]
-
-
 @lru_cache(maxsize=8)
 def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     """Embedded coefficient tables covering every index (n^2-1)/24, n <= N.
 
-    The monomial tables reach only N + 1 (length N + 2).  Each coefficient
-    a is carried exactly as the integer pair (x, y) with 2a = x + y sqrt(d),
-    assembled as a(2^e) a(u) a(v) from the ``_coprime_split`` of its n, and
-    rounded once at embedding time, to the same float as the exact
-    x/2 + (y/2) sqrt(d) in Q(sqrt(d)); every needed index <= N + 1 is also
-    read straight from the tables and must agree with its assembly.
+    The ``eigen_pairs`` tables reach only N + 1 (length N + 2).  Each
+    coefficient a is carried exactly as the integer pair (x, y) with
+    2a = x + y sqrt(d), assembled as a(2^e) a(u) a(v) from the ``_coprime_split``
+    of its n, and rounded once at embedding time, to the same float as the
+    exact x/2 + (y/2) sqrt(d); every needed index <= N + 1 is also read
+    straight from the tables and must agree with its assembly.
     """
     if dim_cusp(2 * nu) == 0:
         raise ValueError(f"S_{2*nu} is trivial")
     top = N + 1
     splits = [((n * n - 1) // 24, _coprime_split(n)) for n in range(5, N + 1) if gcd(n, 6) == 1]
     weight = 2 * nu
-    d, coords = eigen_coordinates(weight)
-    tables = cusp_monomials(weight, top + 1)
-
+    d, pairs = eigen_pairs(weight, top + 1)
+    sqrt_d = math.sqrt(d)
     out = []
-    for c in coords:
-        den, us, vs = _integer_coords(c)
-        read = {}
-
-        def from_tables(m: int) -> tuple[int, int]:
-            pair = read.get(m)
-            if pair is None:
-                x = 2 * sum(u * t[m] for u, t in zip(us, tables))
-                y = 2 * sum(v * t[m] for v, t in zip(vs, tables))
-                if x % den or y % den:
-                    raise InternalCancellationError(
-                        f"coefficient {m} of the weight-{weight} eigenform is not an algebraic integer"
-                    )
-                pair = read[m] = (x // den, y // den)
-            return pair
-
-        sqrt_d = math.sqrt(d)
+    for read in pairs:
         values = {0: 0.0}  # n = 1: a cusp form has a(0) = 0
         for m, (e, u, v) in splits:
-            pair = _half_product(_half_product(from_tables(1 << e), from_tables(u), d), from_tables(v), d)
-            if m <= top and pair != from_tables(m):
+            pair = _half_product(_half_product(read[1 << e], read[u], d), read[v], d)
+            if m <= top and pair != read[m]:
                 raise InternalCancellationError(
                     f"coefficient {m} of the weight-{weight} eigenform breaks Hecke multiplicativity"
                 )

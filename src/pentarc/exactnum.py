@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 13 n
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2 (so E_4 = 1 + 240q + ...).
 
@@ -256,9 +256,6 @@ class QuadNum:
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (rational)."""
         return self.a * self.a - self.b * self.b * self.d
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def embed(self) -> float:
         """Real embedding with sqrt(d) > 0."""

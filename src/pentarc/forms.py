@@ -81,10 +81,11 @@ def _monomial_exponents(weight: int) -> list[tuple[int, int]]:
 
 
 def dim_modular(weight: int) -> int:
-    """dim M_weight for even weight >= 0 (0 for odd or negative)."""
+    """dim M_weight for even weight >= 0 (0 for odd or negative), in closed
+    form: floor(weight/12), plus 1 unless weight = 2 mod 12."""
     if weight < 0 or weight % 2:
         return 0
-    return len(_monomial_exponents(weight))
+    return weight // 12 + (weight % 12 != 2)
 
 
 def dim_cusp(weight: int) -> int:

@@ -2,8 +2,11 @@
 carried by the cuspidal part of the eta brackets.
 
 ``eigen_coordinates`` is the one eigen solve: it diagonalizes T_2 on the
-Delta E4^a E6^b basis of S_w (``forms.cusp_monomials``), and both
-``eigenforms`` and the Dirichlet side read its coordinates.
+Delta E4^a E6^b basis of S_w (``forms.cusp_monomials``).  ``eigen_pairs``,
+the one reader of its coordinates, gives the integer pairs of
+2a(n) = x_n + y_n sqrt(d), checked integral; ``eigenforms`` and the
+Dirichlet side both read them.  A failed eigenform check is an internal
+fault (InternalCancellationError, exit 3), not an unsupported space.
 ``cusp_part`` is the one construction of the cuspidal part,
 eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}; the weight-2nu trace sequence is
 its q^n coefficient for n >= 1.  (``partitions.recurrence_rhs`` writes the
@@ -19,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
-from .errors import PrecisionError, UnsupportedHeckeFieldError
+from .errors import InternalCancellationError, PrecisionError, UnsupportedHeckeFieldError
 from .exactnum import QuadNum, solve, squarefree_split
 from .forms import cusp_monomials, dim_cusp, eisenstein
 from .qseries import IntQSeries
@@ -33,6 +36,7 @@ __all__ = [
     "hecke_operator",
     "hecke_action",
     "eigen_coordinates",
+    "eigen_pairs",
     "eigenforms",
     "cusp_part",
     "trace_series",
@@ -127,7 +131,7 @@ def eigen_coordinates(weight: int) -> tuple[int, tuple[tuple[QuadNum, ...], ...]
         raise UnsupportedHeckeFieldError(f"dim S_{weight} = {dim} is not supported")
     if dim == 1:
         return 1, ((QuadNum(1),),)
-    # T_2 reads q^1..q^(2 dim); eigenforms reads the same tables at its default
+    # T_2 reads q^1..q^(2 dim); eigen_pairs reads the same tables at the eigenforms' default
     rows = cusp_monomials(weight, _EIGEN_PREC)
     head = [[Fraction(row[n]) for row in rows] for n in range(1, dim + 1)]
     # column j holds the coordinates of T_2 applied to basis form j
@@ -149,33 +153,56 @@ def eigen_coordinates(weight: int) -> tuple[int, tuple[tuple[QuadNum, ...], ...]
     return d, tuple(coords)
 
 
+def eigen_pairs(weight: int, length: int) -> tuple[int, tuple[list[tuple[int, int]], ...]]:
+    """(d, pairs): for each eigenform of ``eigen_coordinates``, in its order,
+    the integer pairs (x_n, y_n) with 2a(n) = x_n + y_n sqrt(d), n < length.
+
+    With coordinate j over one denominator D as (u_j + v_j sqrt(d)) / D,
+    2 sum_j u_j T_j and 2 sum_j v_j T_j are summed over the monomial rows
+    T_j a whole row at a time; D must divide both, as a(n) is an algebraic
+    integer."""
+    d, coords = eigen_coordinates(weight)
+    rows = cusp_monomials(weight, length)
+    out = []
+    for c in coords:
+        den = lcm(*(z.a.denominator for z in c), *(z.b.denominator for z in c))
+        xs = ys = [0] * length
+        for z, row in zip(c, rows):
+            u, v = int(2 * den * z.a), int(2 * den * z.b)
+            xs = [acc + u * t for acc, t in zip(xs, row)]
+            ys = [acc + v * t for acc, t in zip(ys, row)]
+        for n, (x, y) in enumerate(zip(xs, ys)):
+            if x % den or y % den:
+                raise InternalCancellationError(
+                    f"coefficient {n} of the weight-{weight} eigenform is not an algebraic integer"
+                )
+        out.append([(x // den, y // den) for x, y in zip(xs, ys)])
+    return d, tuple(out)
+
+
 @lru_cache(maxsize=8)
 def eigenforms(weight: int, prec: int = _EIGEN_PREC) -> tuple[Eigenform, ...]:
     """Normalized Hecke eigenforms of S_weight for dim 1 or 2, read from
-    ``eigen_coordinates`` and the Delta E4^a E6^b tables, in its order."""
-    d, coords = eigen_coordinates(weight)
-    rows = cusp_monomials(weight, prec)
-    forms = []
-    for c in coords:
-        # the rational and sqrt(d) parts summed in Q: one QuadNum per coefficient
-        a = [sum(x.a * row[n] for x, row in zip(c, rows)) for n in range(prec)]
-        b = [sum(x.b * row[n] for x, row in zip(c, rows)) for n in range(prec)]
-        forms.append(Eigenform(weight, d, tuple(QuadNum(an, bn, d) for an, bn in zip(a, b))))
+    ``eigen_pairs`` in its order, each checked by ``_check_eigenform``."""
+    d, pairs = eigen_pairs(weight, prec)
+    forms = tuple(
+        Eigenform(weight, d, tuple(QuadNum(Fraction(x, 2), Fraction(y, 2), d) for x, y in p)) for p in pairs
+    )
     for f in forms:
         _check_eigenform(f)
-    return tuple(forms)
+    return forms
 
 
 def _check_eigenform(f: Eigenform) -> None:
     # a(1) = 1 and the T_2 eigenvalue property through available precision
     if f.a(1) != 1:
-        raise UnsupportedHeckeFieldError("eigenform is not normalized")
+        raise InternalCancellationError("eigenform is not normalized")
     count = f.prec // 2
     acted = hecke_action(f.coeffs, f.weight, 2, count)
     lam = f.a(2)
     for n in range(1, count):
         if acted[n] != lam * f.a(n):
-            raise UnsupportedHeckeFieldError("T_2 eigenvector check failed")
+            raise InternalCancellationError("T_2 eigenvector check failed")
 
 
 def cusp_part(nu: int, prec: int) -> IntQSeries:
@@ -186,7 +213,7 @@ def cusp_part(nu: int, prec: int) -> IntQSeries:
     return eta_bracket(nu, prec) - eisenstein(2 * nu, prec).scale(c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 5 (nu, n_max)
 def trace_series(nu: int, n_max: int) -> TraceSeries:
     """Exact trace values for 1 <= n <= n_max (identically 0 if dim S = 0)."""
     if nu < 2:

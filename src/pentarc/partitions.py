@@ -70,7 +70,7 @@ class PartitionTable:
         return len(self.values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 4 n_max
 def partition_table(n_max: int) -> PartitionTable:
     """p(n) for n <= n_max by the signed pentagonal recurrence, walking
     ``pentagonal_terms`` up to omega(k) = n."""
@@ -103,7 +103,7 @@ def sigma(m: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 14 nu
 def bracket_weights(nu: int) -> tuple[tuple[int, ...], Fraction]:
     """Integer weights w_0..w_nu and one rational factor for the order-nu bracket.
 

@@ -179,12 +179,6 @@ class _Series:
         s = self.start
         return (0,) * max(min(s, hi) - lo, 0) + self.coeffs[max(lo - s, 0) : max(hi - s, 0)]
 
-    def _valuation(self) -> int | None:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return self.start + i
-        return None
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -272,7 +266,6 @@ class QSeries24(_Series):
     offset24 = property(lambda self: self.start, doc="first stored exponent, in 1/24 units")
     prec24 = property(lambda self: self._end, doc="known below this exponent, in 1/24 units")
     coeff24 = _Series._at
-    valuation24 = _Series._valuation
 
     # defined on each class, not inherited: perfbench/layers.py wraps them per class
     __mul__ = __rmul__ = _Series._mul
@@ -288,7 +281,6 @@ class IntQSeries(_Series):
     offset = property(lambda self: self.start, doc="first stored exponent")
     prec = property(lambda self: self._end, doc="known below this exponent")
     coeff = _Series._at
-    valuation = _Series._valuation
 
     # defined on each class, not inherited: perfbench/layers.py wraps them per class
     __mul__ = __rmul__ = _Series._mul
@@ -332,7 +324,7 @@ def to_int_series(s: QSeries24) -> IntQSeries:
     return IntQSeries._make(off, s.coeffs[24 * off - s.offset24 :: 24], s.den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 11 prec
 def euler_expansion(prec: int) -> IntQSeries:
     """Euler's function prod_{n>=1} (1 - q^n) = sum over k in Z of (-1)^k q^omega(k).
 
@@ -352,7 +344,7 @@ def euler_expansion(prec: int) -> IntQSeries:
     return IntQSeries._make(0, nums)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 3 prec24
 def eta_expansion(prec24: int) -> QSeries24:
     """Dedekind eta: sum over k in Z of (-1)^k q^((6k+1)^2 / 24).
 
@@ -367,7 +359,7 @@ def eta_expansion(prec24: int) -> QSeries24:
     return QSeries24._make(1, nums)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # a ``verify all`` pass, the busiest workload, reads 1 prec24
 def eta_product_expansion(prec24: int) -> QSeries24:
     """Dedekind eta as the finite product q^(1/24) prod_{n<=N} (1 - q^n).
 
@@ -388,7 +380,7 @@ def eta_product_expansion(prec24: int) -> QSeries24:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # a ``verify all`` pass, the busiest workload, reads 1 prec24
 def eta_inverse_expansion(prec24: int) -> QSeries24:
     """1/eta = q^(-1/24) * sum p(n) q^n, computed by inverting eta."""
     if prec24 <= -1:

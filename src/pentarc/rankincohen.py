@@ -69,7 +69,7 @@ def _d24_chain(base: IntQSeries, shift24: int, order: int) -> list[IntQSeries]:
     return chain
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # a ``verify all`` pass, the busiest workload, reads 27 (nu, prec)
 def eta_bracket(nu: int, prec: int) -> IntQSeries:
     """The order-nu bracket of (1/eta, eta) as an integer-exponent series.
 

@@ -9,7 +9,7 @@ import pytest
 
 import pentarc
 from pentarc import dirichlet as dmod
-from pentarc import partitions
+from pentarc import hecke, partitions
 from pentarc.cli import (
     MAX_BIG_M,
     MAX_DPS,
@@ -169,12 +169,12 @@ def test_big_n_out_of_range_exits_2(capsys, big_n):
 
 
 def test_corrupt_monomial_table_exits_3(capsys, monkeypatch):
-    real = dmod.cusp_monomials
+    real = hecke.cusp_monomials
 
     def corrupted(weight, length):
         return [[v + 1 if m == 2 else v for m, v in enumerate(row)] for row in real(weight, length)]
 
-    monkeypatch.setattr(dmod, "cusp_monomials", corrupted)
+    monkeypatch.setattr(hecke, "cusp_monomials", corrupted)
     dmod.embedded_eigenforms.cache_clear()
     try:
         code = main(["--big-m", "0", "--big-n", "61", "dirichlet", "6"])
@@ -489,21 +489,63 @@ def test_depth_c_outside_domain_exits_2(capsys, monkeypatch, depth):
         assert f"--depth-c must lie in 1..{MAX_DEPTH_C}, got {depth}" in captured.err
 
 
-def test_nonintegral_eigenform_coordinate_exits_3(capsys, monkeypatch):
-    real = dmod.eigen_coordinates
+@pytest.fixture
+def change_first_eigenvector(monkeypatch):
+    """Install a change of the first eigenvector that ``hecke.eigen_coordinates``
+    returns; its readers' caches are cleared before and after."""
+    real = hecke.eigen_coordinates
+    readers = (dmod.embedded_eigenforms, hecke.eigenforms, hecke.eigenform_projections)
 
-    def perturbed(weight):
-        d, coords = real(weight)
-        first = (coords[0][0] + Fraction(1, 7),) + coords[0][1:]
-        return d, (first,) + coords[1:]
+    def install(change):
+        def changed(weight):
+            d, coords = real(weight)
+            return d, (change(coords[0]),) + coords[1:]
 
-    monkeypatch.setattr(dmod, "eigen_coordinates", perturbed)
-    dmod.embedded_eigenforms.cache_clear()
-    try:
-        code = main(["--big-m", "0", "--big-n", "61", "dirichlet", "12"])
-    finally:
-        dmod.embedded_eigenforms.cache_clear()
+        monkeypatch.setattr(hecke, "eigen_coordinates", changed)
+        for cached in readers:
+            cached.cache_clear()
+
+    yield install
+    for cached in readers:
+        cached.cache_clear()
+
+
+def test_nonintegral_eigenform_coordinate_exits_3(capsys, change_first_eigenvector):
+    change_first_eigenvector(lambda c: (c[0] + Fraction(1, 7),) + c[1:])
+    code = main(["--big-m", "0", "--big-n", "61", "dirichlet", "12"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "internal assertion failed" in captured.err and "not an algebraic integer" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["eigenforms", "24"], ["pnu", "12"]])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda c: (c[0] + Fraction(1, 7),) + c[1:], "not an algebraic integer"),
+        # a doubled eigenvector keeps every pair integral, so only the eigenform check sees it
+        (lambda c: tuple(2 * x for x in c), "eigenform is not normalized"),
+        # so does an integral shift between the coordinates, which keeps a(1) = 1
+        (lambda c: (c[0] + 1, c[1] - 1), "T_2 eigenvector check failed"),
+    ],
+    ids=["nonintegral", "doubled", "shifted"],
+)
+def test_faulty_eigenvector_exits_3_on_every_reader(capsys, change_first_eigenvector, argv, change, message):
+    change_first_eigenvector(change)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "internal assertion failed" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["eigenforms", "dirichlet"])
+def test_huge_weight_exits_2_at_once(capsys, command):
+    start = time.perf_counter()
+    code = main([command, "100000000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not supported" in captured.err
+    assert elapsed < 1.0

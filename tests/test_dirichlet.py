@@ -114,6 +114,17 @@ def test_weight_wide_mode_agrees():
         )
 
 
+@pytest.mark.parametrize("dps", [None, 30, 1000])
+def test_float_weights_match_the_reference(dps):
+    for nu, M in ((2, 3), (6, 4), (19, 2)):
+        expected = [
+            (2 * nu + 1 + 2 * m + 2 * j, dirichlet_weight_float(nu, j, m, dps))
+            for j in range(nu - 1)
+            for m in range(M + 1)
+        ]
+        assert list(_float_weights(nu, M, dps)) == expected
+
+
 def test_partial_small_cases():
     (f,) = eigenforms(12)
     assert dirichlet_partial(f, 1, 13) == 0.0

@@ -6,6 +6,7 @@ import pytest
 from pentarc.errors import NotInSpaceError, PrecisionError
 from pentarc.exactnum import bernoulli, rref
 from pentarc.forms import (
+    _monomial_exponents,
     cusp_generator,
     cusp_monomials,
     decompose,
@@ -90,6 +91,11 @@ def test_dimensions():
     assert dim_modular(4) == 1 and dim_cusp(4) == 0
     for w in range(4, 42, 2):
         assert dim_modular(w) - dim_cusp(w) == 1
+
+
+def test_dimension_closed_form_counts_the_monomials():
+    for weight in range(-2, 1001):
+        assert dim_modular(weight) == len(_monomial_exponents(weight)), weight
 
 
 def test_space_basis_staircase():

@@ -7,6 +7,7 @@ from pentarc.errors import PrecisionError, UnsupportedHeckeFieldError
 from pentarc.exactnum import QuadNum, bernoulli
 from pentarc.forms import cusp_generator, delta, eisenstein
 from pentarc.hecke import (
+    eigen_pairs,
     eigenform_projections,
     eigenforms,
     hecke_action,
@@ -72,6 +73,16 @@ def test_eigenforms_weight24_field_and_values():
         c = QuadNum(-156, 12 * sgn, 144169)
         for n in range(prec):
             assert QuadNum(de43.coeff(n)) + c * d2.coeff(n) == f.a(n)
+
+
+def test_eigen_pairs_are_the_eigenform_coefficients():
+    for weight in (12, 24, 28, 38):
+        d, pairs = eigen_pairs(weight, 40)
+        forms = eigenforms(weight, 40)
+        assert len(pairs) == len(forms)
+        for f, p in zip(forms, pairs):
+            assert len(p) == 40
+            assert all(f.a(n) == QuadNum(F(x, 2), F(y, 2), d) for n, (x, y) in enumerate(p))
 
 
 def test_eigenvector_property():

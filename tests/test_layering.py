@@ -1,5 +1,5 @@
 """Module layering follows the math: each pentarc module imports only the
-modules below it.
+modules below it.  And every cache in the package is bounded.
 
 Every module's package imports are read with ``ast``, without importing
 anything, and compared with the dependency graph below.  A new edge, or a
@@ -7,6 +7,7 @@ dropped one, must be written here on purpose.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pentarc
@@ -100,3 +101,15 @@ def test_parser_sees_every_import_form(tmp_path):
     assert package_imports(source) == {
         "forms", "hecke", "arith", "errors", "qseries", "partitions", "verify",
     }
+
+
+def test_every_lru_cache_is_bounded():
+    """Each cached function in the package has an integer maxsize, so a
+    long-lived process keeps bounded memory."""
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            callees = {ast.unparse(d).split("(")[0].rpartition(".")[2] for d in getattr(node, "decorator_list", ())}
+            if callees & {"lru_cache", "cache"}:
+                fn = getattr(importlib.import_module(f"pentarc.{path.stem}"), node.name)
+                assert isinstance(fn.cache_parameters()["maxsize"], int), f"{path.stem}.{node.name}"
