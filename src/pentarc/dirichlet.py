@@ -215,24 +215,32 @@ def dirichlet_partial(f, N: int, s: int) -> float:
 @lru_cache(maxsize=8)
 def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float], ...]:
     """(s, beta(nu, j, m)) as floats in summation order, j outer, m inner,
-    with s = 2nu+1+2m+2j.  The exact weights step in m by
-    beta(nu, j, m) = beta(nu, j, m-1) (2nu+m-2)/m and share one power of
-    pi, evaluated once: the same floats as dirichlet_weight_float."""
+    with s = 2nu+1+2m+2j.  The exact weights are
+    beta(nu, j, m) = beta(nu, j, 0) C(2nu+m-2, m), the binomial stepped in
+    integers, and share one power of pi, evaluated once: the same floats as
+    dirichlet_weight_float.  In binary64 the rational part is one int / int
+    division, which Python rounds correctly, as float(Fraction) does."""
     exact = []
     for j in range(nu - 1):
-        weight = dirichlet_weight(nu, j, 0)
+        first = dirichlet_weight(nu, j, 0)
+        num, den = first.coeff.numerator, first.coeff.denominator
+        binom = 1
         for m in range(M + 1):
             if m:
-                weight = weight * Fraction(2 * nu + m - 2, m)
-            exact.append((2 * nu + 1 + 2 * m + 2 * j, weight.coeff))
+                binom = binom * (2 * nu + m - 2) // m
+            exact.append((2 * nu + 1 + 2 * m + 2 * j, num * binom, den))
     if dps is None:
-        scale = math.pi ** (weight.half_pi_pow / 2)
-        return tuple((s, float(c) * scale) for s, c in exact)
+        scale = math.pi ** (first.half_pi_pow / 2)
+        return tuple((s, c / d * scale) for s, c, d in exact)
     import mpmath
 
     with mpmath.workdps(dps):
-        scale = mpmath.pi ** (mpmath.mpf(weight.half_pi_pow) / 2)
-        return tuple((s, float(mpmath.mpf(c.numerator) / c.denominator * scale)) for s, c in exact)
+        scale = mpmath.pi ** (mpmath.mpf(first.half_pi_pow) / 2)
+        out = []
+        for s, c, d in exact:
+            c = Fraction(c, d)  # reduced, as dirichlet_weight_float converts it
+            out.append((s, float(mpmath.mpf(c.numerator) / c.denominator * scale)))
+        return tuple(out)
 
 
 def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> float:

@@ -1,12 +1,12 @@
 """Exact scalar arithmetic.
 
 Rationals are plain ``fractions.Fraction`` (re-exported as ``Rat``); on top of
-that this module provides Bernoulli numbers under the B_1 = -1/2 convention,
-falling/rising factorials including the negative-index falling factorial
-(x)_m := 1/(x)_{-m} for m <= -1, exact Gamma values at integers and
-half-integers tracked as rational multiples of pi^(h/2), arithmetic in a
-real quadratic field Q(sqrt(d)), and the one exact linear solver, generic
-over those fields.
+that this module provides Bernoulli numbers under the B_1 = -1/2 convention
+(from one integer table of tangent numbers), falling/rising factorials
+including the negative-index falling factorial (x)_m := 1/(x)_{-m} for
+m <= -1, exact Gamma values at integers and half-integers tracked as
+rational multiples of pi^(h/2), arithmetic in a real quadratic field
+Q(sqrt(d)), and the one exact linear solver, generic over those fields.
 
 All values are immutable; all operations are pure functions.
 """
@@ -35,23 +35,41 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 5 kmax
+def _tangent_numbers(kmax: int) -> tuple[int, ...]:
+    """(0, T_1, ..., T_kmax), the tangent numbers 1, 2, 16, 272, ...
+
+    One O(kmax^2) integer triangle (Brent and Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers", arXiv:1108.0286, Algorithm
+    TangentNumbers).  Callers pass a power of two for kmax, so a growing
+    index rebuilds the table O(log k) times.
+    """
+    t = [0, 1] + [0] * (kmax - 1)
+    for k in range(2, kmax + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, kmax + 1):
+        for j in range(k, kmax + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
+
+
 @lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 13 n
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2 (so E_4 = 1 + 240q + ...).
 
-    Computed by the Akiyama-Tanigawa triangle, which yields the B_1 = +1/2
-    convention; only the n = 1 value differs between the two conventions.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers
+    T_k; the odd B_n vanish for n > 1.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n == 1:
-        return Fraction(-1, 2)
-    row = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    k = n // 2
+    four_k = 1 << n
+    value = Fraction(n * _tangent_numbers(1 << (k - 1).bit_length())[k], four_k * (four_k - 1))
+    return value if k % 2 else -value
 
 
 def falling_factorial(x: Fraction | int, m: int) -> Fraction:

@@ -213,17 +213,32 @@ def cusp_part(nu: int, prec: int) -> IntQSeries:
     return eta_bracket(nu, prec) - eisenstein(2 * nu, prec).scale(c)
 
 
+@lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 2 nu
+def _longest_traces(nu: int) -> list[TraceSeries]:
+    """A one-slot holder for the longest trace sequence of nu built so far;
+    the cache bounds how many nu keep one."""
+    return []
+
+
 @lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 5 (nu, n_max)
 def trace_series(nu: int, n_max: int) -> TraceSeries:
-    """Exact trace values for 1 <= n <= n_max (identically 0 if dim S = 0)."""
+    """Exact trace values for 1 <= n <= n_max (identically 0 if dim S = 0).
+
+    A request no longer than one already built for the same nu is a prefix
+    of it, so it builds no bracket.
+    """
     if nu < 2:
         raise ValueError("trace_series needs nu >= 2")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if dim_cusp(2 * nu) == 0:
         return TraceSeries(nu, tuple([Fraction(0)] * (n_max + 1)))
-    cusp = cusp_part(nu, n_max + 1)
-    return TraceSeries(nu, (Fraction(0),) + tuple(cusp.coeff(n) for n in range(1, n_max + 1)))
+    longest = _longest_traces(nu)
+    if not longest or len(longest[0].values) <= n_max:
+        cusp = cusp_part(nu, n_max + 1)
+        values = (Fraction(0),) + tuple(cusp.coeff(n) for n in range(1, n_max + 1))
+        longest[:] = [TraceSeries(nu, values)]
+    return TraceSeries(nu, longest[0].values[: n_max + 1])
 
 
 @lru_cache(maxsize=8)

@@ -361,23 +361,25 @@ def eta_expansion(prec24: int) -> QSeries24:
 
 @lru_cache(maxsize=4)  # a ``verify all`` pass, the busiest workload, reads 1 prec24
 def eta_product_expansion(prec24: int) -> QSeries24:
-    """Dedekind eta as the finite product q^(1/24) prod_{n<=N} (1 - q^n).
+    """Dedekind eta as the finite product q^(1/24) prod_{n<L} (1 - q^n).
 
-    Independent of eta_expansion; the two must agree up to precision
-    (Euler's Pentagonal Number Theorem).
+    The product is built on integer exponents, L = ceil((prec24 - 1)/24)
+    coefficients (every n with 24n + 1 < prec24), and placed on the 1/24
+    grid as eta_expansion places the pentagonal series.  Independent of
+    eta_expansion; the two must agree up to precision (Euler's Pentagonal
+    Number Theorem).
     """
     if prec24 <= 1:
         raise ValueError("prec24 must exceed the leading exponent 1")
-    n_terms = prec24 // 24 + 1
-    length = prec24 - 1
-    acc = QSeries24._make(1, [1] + [0] * (length - 1))
-    for n in range(1, n_terms + 1):
+    length = -(-(prec24 - 1) // 24)
+    acc = IntQSeries._make(0, [1] + [0] * (length - 1))
+    for n in range(1, length):
         factor = [0] * length
-        factor[0] = 1
-        if 24 * n < length:
-            factor[24 * n] = -1
-        acc = acc * QSeries24._make(0, factor)
-    return acc
+        factor[0], factor[n] = 1, -1
+        acc = acc * IntQSeries._make(0, factor)
+    nums = [0] * (prec24 - 1)
+    nums[::24] = acc.coeffs
+    return QSeries24._make(1, nums)
 
 
 @lru_cache(maxsize=4)  # a ``verify all`` pass, the busiest workload, reads 1 prec24

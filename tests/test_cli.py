@@ -549,3 +549,18 @@ def test_huge_weight_exits_2_at_once(capsys, command):
     assert code == 2 and captured.out == ""
     assert "not supported" in captured.err
     assert elapsed < 1.0
+
+
+def test_flags_do_not_leak_between_requests(tmp_path):
+    """One parser serves every request in a process; a flag given to one
+    request leaves the next at its default."""
+
+    def request(*argv):
+        path = tmp_path / "out.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    assert request("--big-n", "100", "dirichlet", "6")["big_n"] == 100
+    assert request("dirichlet", "6")["big_n"] == 2000
+    assert request("--prec", "30", "pnu", "6")["results"]["prec"] == 30
+    assert request("pnu", "6")["results"]["prec"] == 60

@@ -116,13 +116,21 @@ def test_weight_wide_mode_agrees():
 
 @pytest.mark.parametrize("dps", [None, 30, 1000])
 def test_float_weights_match_the_reference(dps):
-    for nu, M in ((2, 3), (6, 4), (19, 2)):
+    for nu, M in ((2, 3), (6, 4), (19, 2), (12, 100)):
         expected = [
             (2 * nu + 1 + 2 * m + 2 * j, dirichlet_weight_float(nu, j, m, dps))
             for j in range(nu - 1)
             for m in range(M + 1)
         ]
         assert list(_float_weights(nu, M, dps)) == expected
+    # at (19, 1000) the reference takes 7 s per dps for all 18018 weights, so
+    # every j is checked at every 25th m and the last ones
+    nu, M = 19, 1000
+    weights = _float_weights(nu, M, dps)
+    for j in range(nu - 1):
+        for m in [*range(0, M, 25), M - 1, M]:
+            expected = (2 * nu + 1 + 2 * m + 2 * j, dirichlet_weight_float(nu, j, m, dps))
+            assert weights[j * (M + 1) + m] == expected, (j, m)
 
 
 def test_partial_small_cases():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentarc import exactnum
 from pentarc.errors import GammaPoleError, InternalCancellationError, UnsupportedHeckeFieldError
 from pentarc.exactnum import (
     PiScalar,
@@ -33,6 +34,19 @@ def bernoulli_oracle(n_max):
     return values
 
 
+def akiyama_tanigawa(n_max):
+    """Second independent route: the Akiyama-Tanigawa triangle of Fractions,
+    whose row m ends with B_m at its head.  It gives B_1 = +1/2; only the
+    n = 1 value differs from B_1 = -1/2."""
+    row, values = [F(0)] * (n_max + 1), []
+    for m in range(n_max + 1):
+        row[m] = F(1, m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        values.append(row[0])
+    return values
+
+
 def test_bernoulli_examples():
     assert bernoulli(0) == 1
     assert bernoulli(1) == F(-1, 2)
@@ -45,6 +59,30 @@ def test_bernoulli_against_recurrence_oracle():
     oracle = bernoulli_oracle(40)
     for n in range(41):
         assert bernoulli(n) == oracle[n], n
+
+
+def test_bernoulli_against_akiyama_tanigawa():
+    oracle = akiyama_tanigawa(100)
+    for n in range(101):
+        assert bernoulli(n) == (F(-1, 2) if n == 1 else oracle[n]), n
+
+
+def test_bernoulli_von_staudt_clausen():
+    """B_2k + sum of 1/p over the primes p with p - 1 | 2k is an integer, so
+    the denominator of B_2k is the product of those primes."""
+    primes = [p for p in range(2, 402) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for n in range(2, 401, 2):
+        staudt = [p for p in primes if n % (p - 1) == 0]
+        assert (bernoulli(n) + sum(F(1, p) for p in staudt)).denominator == 1, n
+        assert bernoulli(n).denominator == prod(staudt), n
+
+
+def test_bernoulli_tables_grow_by_doubling():
+    exactnum._tangent_numbers.cache_clear()
+    bernoulli.cache_clear()
+    for n in range(2, 401, 2):
+        bernoulli(n)
+    assert exactnum._tangent_numbers.cache_info().misses == 9  # kmax = 1, 2, 4, ..., 256
 
 
 def test_bernoulli_odd_vanish():

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from pentarc import hecke
 from pentarc.errors import PrecisionError, UnsupportedHeckeFieldError
 from pentarc.exactnum import QuadNum, bernoulli
 from pentarc.forms import cusp_generator, delta, eisenstein
@@ -143,6 +144,24 @@ def test_trace_zero_for_trivial_cusp_spaces():
         factor = F(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2)
         for n in range(1, 13):
             assert tr.value(n) == bracket.coeff(n) + factor * sigma(2 * nu - 1, n), (nu, n)
+
+
+def test_shorter_trace_is_read_from_a_longer_one(monkeypatch):
+    trace_series.cache_clear()
+    hecke._longest_traces.cache_clear()
+    longer = trace_series(8, 60)
+    cusp_part = hecke.cusp_part
+
+    def refuse(nu, prec):
+        raise AssertionError(f"cusp_part({nu}, {prec}) built for a shorter trace request")
+
+    monkeypatch.setattr(hecke, "cusp_part", refuse)
+    shorter = trace_series(8, 30)
+    assert shorter.values == longer.values[:31]
+    assert shorter.values[1:] == tuple(cusp_part(8, 31).coeff(n) for n in range(1, 31))
+    monkeypatch.setattr(hecke, "cusp_part", cusp_part)
+    assert len(trace_series(8, 61).values) == 62
+    assert trace_series(8, 70).values[:61] == longer.values
 
 
 def test_cusp_multipliers_exact():

@@ -1,5 +1,7 @@
 """Module layering follows the math: each pentarc module imports only the
-modules below it.  And every cache in the package is bounded.
+modules below it.  And every cache in the package is bounded: each
+``lru_cache`` has an integer maxsize, and no function keeps a memo of its
+own in a module-level list, dict or set.
 
 Every module's package imports are read with ``ast``, without importing
 anything, and compared with the dependency graph below.  A new edge, or a
@@ -103,11 +105,81 @@ def test_parser_sees_every_import_form(tmp_path):
     }
 
 
+#: methods that change a list, dict or set in place
+MUTATORS = {
+    "append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem", "clear",
+    "remove", "discard", "__setitem__", "__delitem__",
+}
+CONTAINER_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+CONTAINER_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def module_state_writes(tree: ast.Module) -> list[str]:
+    """Lines where a function changes module-level state: a mutating method
+    called on, or an item stored into or deleted from, a module-level list,
+    dict or set that the function does not shadow, and any ``global``."""
+    containers = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        value = getattr(node, "value", None)
+        called = isinstance(value, ast.Call) and ast.unparse(value.func).rpartition(".")[2] in CONTAINER_CALLS
+        if isinstance(value, CONTAINER_LITERALS) or called:
+            containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+        shared = containers - local
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                out.append(f"{fn.name}:{node.lineno} global {', '.join(node.names)}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if isinstance(owner, ast.Name) and owner.id in shared and node.func.attr in MUTATORS:
+                    out.append(f"{fn.name}:{node.lineno} {owner.id}.{node.func.attr}")
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                if isinstance(node.value, ast.Name) and node.value.id in shared:
+                    out.append(f"{fn.name}:{node.lineno} {node.value.id}[...]")
+    return out
+
+
+def test_module_state_writes_are_seen():
+    tree = ast.parse(
+        "_memo = {}\n"
+        "_seen = set()\n"
+        "_rows: list = []\n"
+        "_table = dict()\n"
+        "TOTAL = 0\n"
+        "def a(n):\n"
+        "    _memo[n] = n\n"
+        "    _memo.setdefault(n, 1)\n"
+        "    _seen.add(n)\n"
+        "    _rows.append(n)\n"
+        "def b(n):\n"
+        "    _table.update({n: n})\n"
+        "    _memo[n] += 1\n"
+        "    global TOTAL\n"
+        "def c(_memo, n):\n"  # a parameter shadows the module name
+        "    _memo[n] = n\n"
+        "    rows = []\n"
+        "    rows.append(_rows[n])\n"
+        "    return _table.get(n)\n"
+    )
+    assert set(module_state_writes(tree)) == {
+        "a:7 _memo[...]", "a:8 _memo.setdefault", "a:9 _seen.add", "a:10 _rows.append",
+        "b:12 _table.update", "b:13 _memo[...]", "b:14 global TOTAL",
+    }
+
+
 def test_every_lru_cache_is_bounded():
-    """Each cached function in the package has an integer maxsize, so a
-    long-lived process keeps bounded memory."""
+    """Each cached function in the package has an integer maxsize, and no
+    function memoizes into a module-level container, so a long-lived
+    process keeps bounded memory."""
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert module_state_writes(tree) == [], path.stem
         for node in ast.walk(tree):
             callees = {ast.unparse(d).split("(")[0].rpartition(".")[2] for d in getattr(node, "decorator_list", ())}
             if callees & {"lru_cache", "cache"}:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pentarc import qseries
 from pentarc.errors import InternalCancellationError, PrecisionError
 from pentarc.forms import eisenstein
 from pentarc.partitions import partition_table
@@ -38,6 +39,49 @@ def test_eta_leading_terms():
 
 def test_pentagonal_number_theorem():
     assert eta_expansion(2400).agrees_with(eta_product_expansion(2400))
+
+
+def product_on_the_24_grid(prec24):
+    """q^(1/24) prod_{n<=N} (1 - q^n) multiplied out factor by factor on the
+    1/24 grid, with every slot of every factor stored."""
+    length = prec24 - 1
+    acc = QSeries24(1, [1] + [0] * (length - 1))
+    for n in range(1, prec24 // 24 + 2):
+        factor = [0] * length
+        factor[0] = 1
+        if 24 * n < length:
+            factor[24 * n] = -1
+        acc = acc * QSeries24(0, factor)
+    return acc
+
+
+def test_eta_product_is_the_grid_product_without_the_pentagonal_series(monkeypatch):
+    def refuse(prec):
+        raise AssertionError("the product form of eta read the pentagonal series")
+
+    monkeypatch.setattr(qseries, "euler_expansion", refuse)
+    monkeypatch.setattr(qseries, "eta_expansion", refuse)
+    eta_product_expansion.cache_clear()
+    for prec24 in [*range(2, 80), 960, 1000, 2400, 2401]:
+        built, expected = eta_product_expansion(prec24), product_on_the_24_grid(prec24)
+        assert type(built) is QSeries24
+        assert (built.start, built.coeffs, built.den) == (expected.start, expected.coeffs, expected.den), prec24
+
+
+def test_eta_product_multiplies_on_integer_exponents(monkeypatch):
+    """Work guard: the product of eta_product_expansion(2400) has 100 integer
+    coefficients, so no product it takes is longer."""
+    lengths = []
+    convolve = qseries._convolve
+
+    def counted(a, b, out_len):
+        lengths.append(out_len)
+        return convolve(a, b, out_len)
+
+    monkeypatch.setattr(qseries, "_convolve", counted)
+    eta_product_expansion.cache_clear()
+    eta_product_expansion(2400)
+    assert lengths and max(lengths) <= 100
 
 
 def test_eta_inverse_is_partition_gf():
