@@ -237,22 +237,22 @@ def _parse_method(method: str) -> tuple[str, int]:
     return kind, value
 
 
+def _rademacher_record(n: int, depth: int) -> dict:
+    """Every field of ``rademacher_pn(n, depth)``, with n: the record of
+    ``rademacher`` and of ``partition --method rademacher:C``."""
+    # the fields are flat numbers, so vars gives what asdict would, without its deep copy
+    return {"n": n, **vars(rademacher.rademacher_pn(n, depth))}
+
+
 def _partition_by_method(n: int, method: str, kind: str, value: int, table, traces) -> dict:
     if kind == "euler":
         return {"n": n, "method": "euler", "value": Fraction(table.p(n))}
     if kind == "trace":
         trace = traces.value(n) if traces is not None else Fraction(0)
         return {"n": n, "method": method, "value": partitions.recurrence_rhs(value, n, trace, table)}
-    est = rademacher.rademacher_pn(n, value)
-    return {
-        "n": n,
-        "method": method,
-        "value": est.nearest,
-        "estimate": est.estimate,
-        "gap": est.gap,
-        "imag": est.imag,
-        "depth": est.depth,
-    }
+    record = _rademacher_record(n, value)
+    record["method"], record["value"] = method, record.pop("nearest")
+    return record
 
 
 def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
@@ -362,19 +362,7 @@ def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
 def cmd_rademacher(args, cfg: RunConfig) -> tuple[dict, int]:
     if not 1 <= cfg.depth_c <= rademacher.MAX_DEPTH_C:
         raise ValueError(f"--depth-c must lie in 1..{rademacher.MAX_DEPTH_C}, got {cfg.depth_c}")
-    results = []
-    for n in args.n:
-        est = rademacher.rademacher_pn(n, cfg.depth_c)
-        results.append(
-            {
-                "n": n,
-                "estimate": est.estimate,
-                "nearest": est.nearest,
-                "gap": est.gap,
-                "imag": est.imag,
-                "depth": est.depth,
-            }
-        )
+    results = [_rademacher_record(n, cfg.depth_c) for n in args.n]
     return {"command": "rademacher", "results": results}, 0
 
 

@@ -118,7 +118,7 @@ def space_basis(weight: int, prec: int) -> MFSpace:
         raise PrecisionError(f"prec {prec} too small for weight-{weight} space")
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
-    one = IntQSeries(0, [1] + [0] * (prec - 1))
+    one = IntQSeries._make(0, [1] + [0] * (prec - 1))
     e4_pows = [one]
     for _ in range(max(a for a, _ in exps)):
         e4_pows.append(e4_pows[-1] * e4)

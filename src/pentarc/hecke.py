@@ -8,10 +8,13 @@ the one reader of its coordinates, gives the integer pairs of
 Dirichlet side both read them.  A failed eigenform check is an internal
 fault (InternalCancellationError, exit 3), not an unsupported space.
 ``cusp_part`` is the one construction of the cuspidal part,
-eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}; the weight-2nu trace sequence is
-its q^n coefficient for n >= 1.  (``partitions.recurrence_rhs`` writes the
-Eisenstein term from the sigma_{2nu-1} formula instead, so the
-``trace-recurrence`` suite checks one against the other.)
+eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}, and ``pnu``, ``trace_series``,
+the projections and ``verify`` all read it.  It answers a request no longer
+than one already built for its nu from a prefix of that build.  The
+weight-2nu trace sequence is its q^n coefficient for n >= 1.
+(``partitions.recurrence_rhs`` writes the Eisenstein term from the
+sigma_{2nu-1} formula instead, so the ``trace-recurrence`` suite checks one
+against the other.)
 ``eigenform_projections`` solves sum_i gamma_i a_i(n) = trace(n),
 n = 1..dim, with the exact solver ``exactnum.solve``, yielding the exact
 projection ratios gamma_i = <bracket, f_i> / <f_i, f_i>.
@@ -78,7 +81,7 @@ def hecke_operator(f: IntQSeries, weight: int, m: int) -> IntQSeries:
     if out_prec < 1:
         raise PrecisionError(f"precision {f.prec} too small for T_{m}")
     table = (0,) * f.offset + f.coeffs
-    return IntQSeries(0, hecke_action(table, weight, m, out_prec), den=f.den)
+    return IntQSeries._make(0, hecke_action(table, weight, m, out_prec), f.den)
 
 
 @dataclass(frozen=True)
@@ -205,40 +208,40 @@ def _check_eigenform(f: Eigenform) -> None:
             raise InternalCancellationError("T_2 eigenvector check failed")
 
 
-def cusp_part(nu: int, prec: int) -> IntQSeries:
-    """eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}, exact through q^(prec-1), for nu >= 2."""
-    if nu < 2:
-        raise ValueError("cusp_part needs nu >= 2")
-    c = comb(2 * nu - 2, nu - 2)
-    return eta_bracket(nu, prec) - eisenstein(2 * nu, prec).scale(c)
-
-
-@lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 2 nu
-def _longest_traces(nu: int) -> list[TraceSeries]:
-    """A one-slot holder for the longest trace sequence of nu built so far;
+@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 12 nu
+def _longest_cusp(nu: int) -> list[IntQSeries]:
+    """A one-slot holder for the longest cuspidal part of nu built so far;
     the cache bounds how many nu keep one."""
     return []
 
 
-@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 5 (nu, n_max)
-def trace_series(nu: int, n_max: int) -> TraceSeries:
-    """Exact trace values for 1 <= n <= n_max (identically 0 if dim S = 0).
+def cusp_part(nu: int, prec: int) -> IntQSeries:
+    """eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}, exact through q^(prec-1), for nu >= 2.
 
     A request no longer than one already built for the same nu is a prefix
     of it, so it builds no bracket.
     """
+    if nu < 2 or prec < 2:
+        raise ValueError(f"cusp_part needs nu >= 2 and prec >= 2, got ({nu}, {prec})")
+    longest = _longest_cusp(nu)
+    if not longest or longest[0].prec < prec:
+        c = comb(2 * nu - 2, nu - 2)
+        longest[:] = [eta_bracket(nu, prec) - eisenstein(2 * nu, prec).scale(c)]
+    return longest[0].truncate(prec)
+
+
+@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 5 (nu, n_max)
+def trace_series(nu: int, n_max: int) -> TraceSeries:
+    """Exact trace values for 1 <= n <= n_max (identically 0 if dim S = 0),
+    the coefficients of ``cusp_part``."""
     if nu < 2:
         raise ValueError("trace_series needs nu >= 2")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if dim_cusp(2 * nu) == 0:
         return TraceSeries(nu, tuple([Fraction(0)] * (n_max + 1)))
-    longest = _longest_traces(nu)
-    if not longest or len(longest[0].values) <= n_max:
-        cusp = cusp_part(nu, n_max + 1)
-        values = (Fraction(0),) + tuple(cusp.coeff(n) for n in range(1, n_max + 1))
-        longest[:] = [TraceSeries(nu, values)]
-    return TraceSeries(nu, longest[0].values[: n_max + 1])
+    cusp = cusp_part(nu, n_max + 1)
+    return TraceSeries(nu, (Fraction(0),) + tuple(cusp.coeff(n) for n in range(1, n_max + 1)))
 
 
 @lru_cache(maxsize=8)

@@ -65,7 +65,7 @@ def _d24_chain(base: IntQSeries, shift24: int, order: int) -> list[IntQSeries]:
     chain = [base]
     for _ in range(order):
         last = chain[-1]
-        chain.append(IntQSeries(last.offset, [c * f for c, f in zip(last.coeffs, factors)], den=last.den))
+        chain.append(IntQSeries._make(last.offset, [c * f for c, f in zip(last.coeffs, factors)], last.den))
     return chain
 
 
@@ -106,7 +106,7 @@ def eta_bracket_from_partitions(nu: int, prec: int) -> IntQSeries:
         _weight_numerator(weights, n, 0) * ptable.p(n) - pentagonal_numerator_sum(weights, n, ptable)
         for n in range(prec)
     ]
-    return IntQSeries(0, nums).scale(factor)
+    return IntQSeries._make(0, nums).scale(factor)
 
 
 def _require_no_pole(weight_plus_nu: Fraction) -> None:

@@ -150,10 +150,10 @@ def check_projection_reconstruction() -> tuple[bool, str]:
 
 def check_kronecker() -> tuple[bool, str]:
     for n in range(1, 10001):
-        expected = kronecker_symbol(12, n)
-        if dmod.kronecker12(n) != expected:
+        chi = dmod.kronecker12(n)
+        if chi != kronecker_symbol(12, n):
             return False, f"disagrees with general symbol at {n}"
-        if dmod.kronecker12(n) != dmod.kronecker12(n + 12 * 7001):
+        if chi != dmod.kronecker12(n + 12 * 7001):
             return False, f"not 12-periodic at {n}"
     rng = random.Random(_SEED)
     for _ in range(300):

@@ -9,7 +9,7 @@ import pytest
 
 import pentarc
 from pentarc import dirichlet as dmod
-from pentarc import hecke, partitions
+from pentarc import hecke, partitions, rankincohen
 from pentarc.cli import (
     MAX_BIG_M,
     MAX_DPS,
@@ -81,6 +81,15 @@ def test_pnu_12_keeps_exact_values_as_strings(capsys):
     coeffs = res["series"]["coeffs"]
     assert len(coeffs) == 30 and all(isinstance(c, str) for c in coeffs)
     assert coeffs[0] == "646646"
+
+
+def test_pnu_builds_one_bracket(capsys):
+    """The projections read their traces from the cuspidal part ``pnu`` built."""
+    for cached in (rankincohen.eta_bracket, hecke._longest_cusp, hecke.trace_series, hecke.eigenform_projections):
+        cached.cache_clear()
+    code, _ = run_json(capsys, "--prec", "120", "pnu", "12")
+    assert code == 0
+    assert rankincohen.eta_bracket.cache_info().misses == 1
 
 
 def test_partition_builds_one_table(capsys):
@@ -199,6 +208,29 @@ def test_rademacher_range(capsys):
     assert code == 0
     assert [r["nearest"] for r in data["results"]] == [1, 2, 3]
     assert all(r["depth"] == 20 for r in data["results"])
+
+
+RADEMACHER_KEYS = {"n", "estimate", "nearest", "gap", "imag", "depth"}
+PARTITION_KEYS = {"n", "method", "value", "estimate", "gap", "imag", "depth"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["rademacher", "1..3"], RADEMACHER_KEYS),
+        (["partition", "1..3", "--method", "rademacher:20"], PARTITION_KEYS),
+        (["partition", "1..3", "--method", "rademacher:20", "--cross-check"], PARTITION_KEYS | {"cross_check"}),
+    ],
+)
+def test_rademacher_record_fields(capsys, argv, keys):
+    """Both commands' Rademacher records carry the same estimate fields."""
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert [set(r) for r in data["results"]] == [keys] * 3
+    code, out = run_cli(capsys, "--format", "csv", *argv)
+    assert code == 0
+    flat = {"cross_check.agree", "cross_check.euler"} if "cross_check" in keys else set()
+    assert out.splitlines()[0] == ",".join(sorted(keys - {"cross_check"} | flat))
 
 
 def test_rademacher_beyond_binary64_exits_2(capsys):

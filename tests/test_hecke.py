@@ -146,22 +146,38 @@ def test_trace_zero_for_trivial_cusp_spaces():
             assert tr.value(n) == bracket.coeff(n) + factor * sigma(2 * nu - 1, n), (nu, n)
 
 
-def test_shorter_trace_is_read_from_a_longer_one(monkeypatch):
-    trace_series.cache_clear()
-    hecke._longest_traces.cache_clear()
-    longer = trace_series(8, 60)
-    cusp_part = hecke.cusp_part
+def refuse_brackets(monkeypatch):
+    """Make every bracket build in ``hecke`` fail, cached or not."""
 
     def refuse(nu, prec):
-        raise AssertionError(f"cusp_part({nu}, {prec}) built for a shorter trace request")
+        raise AssertionError(f"eta_bracket({nu}, {prec}) built for a shorter request")
 
-    monkeypatch.setattr(hecke, "cusp_part", refuse)
+    monkeypatch.setattr(hecke, "eta_bracket", refuse)
+
+
+def test_shorter_trace_is_read_from_a_longer_one(monkeypatch):
+    trace_series.cache_clear()
+    hecke._longest_cusp.cache_clear()
+    longer = trace_series(8, 60)
+    refuse_brackets(monkeypatch)
     shorter = trace_series(8, 30)
     assert shorter.values == longer.values[:31]
-    assert shorter.values[1:] == tuple(cusp_part(8, 31).coeff(n) for n in range(1, 31))
-    monkeypatch.setattr(hecke, "cusp_part", cusp_part)
+    assert shorter.values[1:] == tuple(hecke.cusp_part(8, 31).coeff(n) for n in range(1, 31))
+    monkeypatch.setattr(hecke, "eta_bracket", eta_bracket)
     assert len(trace_series(8, 61).values) == 62
     assert trace_series(8, 70).values[:61] == longer.values
+
+
+@pytest.mark.parametrize("nu", [6, 12, 13, 18])
+def test_cusp_part_prefix_equals_a_fresh_build(monkeypatch, nu):
+    hecke._longest_cusp.cache_clear()
+    hecke.cusp_part(nu, 40)
+    refuse_brackets(monkeypatch)
+    c = comb(2 * nu - 2, nu - 2)
+    for prec in (2, 3, 13, 39, 40):
+        fresh = eta_bracket(nu, prec) - eisenstein(2 * nu, prec).scale(c)
+        read = hecke.cusp_part(nu, prec)
+        assert (read.offset, read.coeffs, read.den) == (fresh.offset, fresh.coeffs, fresh.den), prec
 
 
 def test_cusp_multipliers_exact():
