@@ -267,7 +267,7 @@ def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> 
 
 
 class EmbeddedEigenform:
-    """Real-embedded eigenform coefficients backed by the exact monomial tables."""
+    """Real-embedded eigenform coefficients backed by the exact Delta E4^a E6^b lattice rows."""
 
     __slots__ = ("weight", "disc", "_table")
 

@@ -1,11 +1,13 @@
 """Level-1 modular forms as exact q-expansions.
 
 Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n (the
-quasi-modular E_2 is allowed as a series but never enters a space basis),
-Delta = eta^24 and the cusp forms Delta * E4^a E6^b are all built in
-``_coeffs``; the latter, read by ``cusp_monomials``, are the one basis of
-S_w.  Here live the exact monomial bases E4^a E6^b of M_w, plus exact
-decomposition against them through the exact solver ``exactnum.solve``.
+quasi-modular E_2 is allowed as a series but never enters a space basis)
+and the monomials Delta^c E4^a E6^b are built in ``_coeffs``, the monomials
+by its one lattice builder.  Here they are read as the bases of the
+level-1 spaces: Delta E4^a E6^b of S_w (``cusp_monomials``, with ``delta``
+and the one-dimensional ``cusp_generator``), and E4^a E6^b of M_w
+(``space_basis``), with exact decomposition against the latter through the
+exact solver ``exactnum.solve``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._coeffs import cusp_monomial_coeffs, eisenstein_series
+from ._coeffs import _monomial_exponents, _monomial_rows, cusp_monomial_coeffs, eisenstein_series
 from .errors import NotInSpaceError, PrecisionError
 from .exactnum import solve
 from .qseries import IntQSeries
@@ -32,7 +34,7 @@ __all__ = [
 ]
 
 
-#: a ``verify all`` pass reads 22 distinct (w, prec), the most of any benchmark workload
+#: a ``verify all`` pass reads 17 distinct (w, prec), the most of any benchmark workload
 @lru_cache(maxsize=32)
 def eisenstein(w: int, prec: int) -> IntQSeries:
     """Weight-w Eisenstein series, exact through q^(prec-1)."""
@@ -44,7 +46,8 @@ def eisenstein(w: int, prec: int) -> IntQSeries:
 
 
 def delta(prec: int) -> IntQSeries:
-    """eta^24 = q - 24q^2 + 252q^3 - ...: the (0, 0) table of ``_coeffs``."""
+    """eta^24 = q - 24q^2 + 252q^3 - ...: the one row of the weight-12 Delta
+    lattice of ``_coeffs``."""
     return cusp_generator(12, prec)
 
 
@@ -53,7 +56,7 @@ def cusp_generator(weight: int, prec: int) -> IntQSeries:
 
     Defined for weight in {12, 16, 18, 20, 22, 26} as Delta times the unique
     E4^a E6^b monomial of weight (weight - 12); leading coefficient 1 at q.
-    Exact through q^(prec-1), read from the ``_coeffs`` monomial table.
+    Exact through q^(prec-1), read from the ``_coeffs`` Delta lattice.
     """
     if dim_cusp(weight) != 1:
         raise ValueError(f"weight {weight} does not have a 1-dimensional cusp space")
@@ -69,15 +72,6 @@ def cusp_monomials(weight: int, length: int) -> list[list[int]]:
     of S_weight, every member starting with q."""
     indices = tuple(range(length))
     return [cusp_monomial_coeffs(a, b, indices, length - 1) for a, b in _monomial_exponents(weight - 12)]
-
-
-def _monomial_exponents(weight: int) -> list[tuple[int, int]]:
-    out = []
-    for a in range(weight // 4 + 1):
-        rest = weight - 4 * a
-        if rest % 6 == 0:
-            out.append((a, rest // 6))
-    return out
 
 
 def dim_modular(weight: int) -> int:
@@ -112,20 +106,10 @@ def space_basis(weight: int, prec: int) -> MFSpace:
     """Monomial basis of M_weight, exact through q^(prec-1)."""
     if weight < 4 or weight % 2:
         raise ValueError("space_basis needs an even weight >= 4")
-    exps = _monomial_exponents(weight)
-    dim_total = len(exps)
+    dim_total = dim_modular(weight)
     if prec <= dim_total + 2:
         raise PrecisionError(f"prec {prec} too small for weight-{weight} space")
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    one = IntQSeries._make(0, [1] + [0] * (prec - 1))
-    e4_pows = [one]
-    for _ in range(max(a for a, _ in exps)):
-        e4_pows.append(e4_pows[-1] * e4)
-    e6_pows = [one]
-    for _ in range(max(b for _, b in exps)):
-        e6_pows.append(e6_pows[-1] * e6)
-    basis = tuple(e4_pows[a] * e6_pows[b] for a, b in exps)
+    basis = tuple(_monomial_rows(weight, IntQSeries._make(0, [1] + [0] * (prec - 1))))
     return MFSpace(weight, dim_total, dim_total - 1, basis, prec)
 
 

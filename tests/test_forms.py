@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from pentarc._coeffs import _cusp_lattice
 from pentarc.errors import NotInSpaceError, PrecisionError
-from pentarc.exactnum import bernoulli, rref
+from pentarc.exactnum import bernoulli
 from pentarc.forms import (
     _monomial_exponents,
     cusp_generator,
@@ -103,18 +104,31 @@ def test_space_basis_staircase():
         sp = space_basis(weight, 20)
         assert len(sp.basis) == sp.dim_total
         assert sp.dim_cusp == dim_cusp(weight) == sp.dim_total - 1
-    # the monomials minus the first span S_weight, which the Delta E4^a E6^b
-    # forms span too, and those are fixed by their coefficients at q^1..q^dim
+    # Delta E4^a E6^b = (E4^(a+3) E6^b - E4^a E6^(b+2)) / 1728: each cusp row is
+    # the difference of two neighbouring basis rows, so the two bases span S_weight
     for weight in range(12, 41, 2):
         sp = space_basis(weight, 20)
-        cusp = [[F(c) for c in row] for row in cusp_monomials(weight, 20)]
+        cusp = cusp_monomials(weight, 20)
         assert len(cusp) == sp.dim_cusp
-        assert len(rref([row[1 : sp.dim_cusp + 1] for row in cusp])) == sp.dim_cusp, weight
-        diffs = [[F(m.coeff(n) - sp.basis[0].coeff(n)) for n in range(20)] for m in sp.basis[1:]]
-        assert rref(diffs) == rref(cusp) == rref(cusp + diffs), weight
+        for i, row in enumerate(cusp):
+            lo, hi = sp.basis[i], sp.basis[i + 1]
+            assert [F(c) for c in row] == [(hi.coeff(n) - lo.coeff(n)) / 1728 for n in range(20)], (weight, i)
 
 
-@pytest.mark.parametrize("cached", [space_basis, eisenstein])
+def test_space_basis_rows_are_exact_products():
+    prec = 30
+    e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
+    one = IntQSeries(0, [1] + [0] * (prec - 1))
+    for weight in range(4, 61, 2):
+        exps = _monomial_exponents(weight)
+        basis = space_basis(weight, prec).basis
+        assert len(basis) == len(exps) == dim_modular(weight), weight
+        for (a, b), row in zip(exps, basis):
+            want = (e4.pow(a) if a else one) * (e6.pow(b) if b else one)
+            assert (row.offset, row.coeffs, row.den) == (want.offset, want.coeffs, want.den), (weight, a, b)
+
+
+@pytest.mark.parametrize("cached", [space_basis, eisenstein, _cusp_lattice])
 def test_form_caches_are_bounded(cached):
     for prec in range(20, 120):
         cached(12, prec)
