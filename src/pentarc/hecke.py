@@ -230,7 +230,7 @@ def cusp_part(nu: int, prec: int) -> IntQSeries:
     return longest[0].truncate(prec)
 
 
-@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 5 (nu, n_max)
+@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 7 (nu, n_max)
 def trace_series(nu: int, n_max: int) -> TraceSeries:
     """Exact trace values for 1 <= n <= n_max (identically 0 if dim S = 0),
     the coefficients of ``cusp_part``."""

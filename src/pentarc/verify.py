@@ -114,10 +114,9 @@ def check_ramanujan_691() -> tuple[bool, str]:
 def check_trace_recurrence() -> tuple[bool, str]:
     ptable = partitions.partition_table(20)
     for nu in (2, 4, 6, 12):
-        tr = hecke.trace_series(nu, 20) if forms.dim_cusp(2 * nu) else None
+        tr = hecke.trace_series(nu, 20)
         for n in range(1, 21):
-            trace = tr.value(n) if tr else Fraction(0)
-            value = partitions.recurrence_rhs(nu, n, trace, ptable)
+            value = partitions.recurrence_rhs(nu, n, tr.value(n), ptable)
             if value != ptable.p(n):
                 return False, f"nu={nu}, n={n}: got {value}"
     return True, "recurrence reproduces p(n) for nu in {2,4,6,12}, n<=20"

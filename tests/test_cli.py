@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pentarc
 from pentarc import dirichlet as dmod
@@ -34,6 +39,10 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out) if out else None
+
+
+#: the documented domain lo..hi of each integer setting
+DOMAINS = {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (1, dmod.MAX_BIG_N), "depth_c": (1, MAX_DEPTH_C)}
 
 
 def test_partition_euler(capsys):
@@ -102,7 +111,8 @@ def test_partition_builds_one_table(capsys):
 @pytest.mark.parametrize(
     "argv, arg",
     [(["partition", "5..1"], "argument n"), (["rademacher", "3..2"], "argument n"),
-     (["gpoly", "2", "1", "--k", "1..0"], "argument --k"), (["partition", "1..x"], "argument n")],
+     (["gpoly", "2", "1", "--k", "1..0"], "argument --k"), (["partition", "1..x"], "argument n"),
+     (["partition", "5.."], "argument n"), (["gpoly", "2", "1", "--k=3.."], "argument --k")],
 )
 def test_empty_or_malformed_range_exits_2(capsys, argv, arg):
     with pytest.raises(SystemExit) as exc:
@@ -339,7 +349,8 @@ def test_env_and_config_precedence(tmp_path, capsys, monkeypatch):
     + [
         (["partition", "3", "--method", method], "--method")
         for method in (f"trace:{MAX_NU + 1}", f"rademacher:{MAX_DEPTH_C + 1}")
-    ],
+    ]
+    + [(["partition", "-3"], "argument n"), (["rademacher", "0"], "argument n")],
 )
 def test_bad_partition_method_exits_2(capsys, argv, named):
     code = main(argv)
@@ -424,7 +435,8 @@ def test_truncation_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, flag, k
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and elapsed < 1
-        assert f"pentarc: {flag} must be at most {ceiling}, got {value}" in captured.err
+        assert "pentarc: bad configuration: " in captured.err
+        assert f"{flag} must lie in {DOMAINS[key][0]}..{ceiling}, got {value}" in captured.err
         assert "Traceback" not in captured.err
 
 
@@ -519,6 +531,98 @@ def test_depth_c_outside_domain_exits_2(capsys, monkeypatch, depth):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"--depth-c must lie in 1..{MAX_DEPTH_C}, got {depth}" in captured.err
+
+
+SOURCES = ("config", "env", "flag")  # lowest precedence first
+
+
+def grid(key):
+    """Each integer setting at lo - 1, lo, hi and hi + 1."""
+    lo, hi = DOMAINS[key]
+    return (lo - 1, lo, hi, hi + 1)
+
+
+def run_with_settings(config_path, given, command=("partition", "3")):
+    """Run ``command`` with each value of ``given``, {(source, key): value},
+    delivered by its source: a flag, a PENTARC_* variable or the config file."""
+    argv, env, config = [], {}, {}
+    for (source, key), value in given.items():
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        elif source == "env":
+            env["PENTARC_" + key.upper()] = str(value)
+        else:
+            config[key] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        code = main(["--config", str(config_path), *argv, *command])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("key, value", [(key, value) for key in DOMAINS for value in grid(key)])
+def test_every_setting_is_checked_whatever_its_source(tmp_path, source, key, value):
+    lo, hi = DOMAINS[key]
+    code, out, err = run_with_settings(tmp_path / "config.json", {(source, key): value})
+    if lo <= value <= hi:
+        assert code == 0 and json.loads(out)["config"][key] == value
+    else:
+        assert code == 2 and out == ""
+        assert "pentarc: bad configuration: " in err
+        assert f"--{key.replace('_', '-')} must lie in {lo}..{hi}, got {value}" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize(
+    "key, value, command",
+    [
+        ("depth_c", 5000, ("partition", "3")),
+        ("big_m", -1, ("rademacher", "3")),
+        ("prec", 99999, ("dirichlet", "6")),
+        ("prec", 1, ("pnu", "3")),
+    ],
+)
+def test_setting_outside_domain_exits_2_whatever_the_command(tmp_path, source, key, value, command):
+    code, out, err = run_with_settings(tmp_path / "config.json", {(source, key): value}, command)
+    lo, hi = DOMAINS[key]
+    assert code == 2 and out == ""
+    assert f"--{key.replace('_', '-')} must lie in {lo}..{hi}, got {value}" in err
+
+
+def test_out_has_no_environment_variable(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "out.json"
+    monkeypatch.setenv("PENTARC_OUT", str(target))
+    code, data = run_json(capsys, "partition", "3")
+    assert code == 0 and data["config"]["out"] is None and not target.exists()
+
+
+@st.composite
+def given_settings(draw):
+    """Values for some (source, key) pairs, a key possibly from several sources."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(SOURCES), st.sampled_from(sorted(DOMAINS))), unique=True))
+    return {(source, key): draw(st.sampled_from(grid(key))) for source, key in pairs}
+
+
+SETTINGS_GRID = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@SETTINGS_GRID
+@given(given_settings())
+def test_exit_0_iff_every_given_setting_lies_in_its_domain(tmp_path_factory, given):
+    config_path = tmp_path_factory.getbasetemp() / "settings-grid.json"
+    code, out, err = run_with_settings(config_path, given)
+    in_domain = all(DOMAINS[key][0] <= value <= DOMAINS[key][1] for (_, key), value in given.items())
+    assert code == (0 if in_domain else 2) and "Traceback" not in err
+    if in_domain:
+        # the value echoed is the one of highest precedence
+        echoed = json.loads(out)["config"]
+        for (source, key), value in given.items():
+            if all(SOURCES.index(other) <= SOURCES.index(source) for other, k in given if k == key):
+                assert echoed[key] == value
+    else:
+        assert out == "" and "bad configuration" in err
 
 
 @pytest.fixture
