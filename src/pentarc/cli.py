@@ -96,6 +96,18 @@ BOUNDS = {
     "big_n": (1, dmod.MAX_BIG_N),
     "depth_c": (1, rademacher.MAX_DEPTH_C),
 }
+#: the domain lo..hi of each integer argument, by command (partition's n by --method kind); a range
+#: argument lies in it at both ends, and a third entry caps how many values it holds
+ARGUMENT_BOUNDS = {
+    "partition euler": {"n": (0, MAX_PARTITION_N)},
+    "partition trace": {"n": (1, MAX_TRACE_N)},
+    "partition rademacher": {"n": (1, rademacher.MAX_N)},
+    "pnu": {"nu": (0, MAX_NU)},
+    "gpoly": {"nu": (0, MAX_NU), "n": (-MAX_GPOLY_N, MAX_GPOLY_N),
+              "--k": (-MAX_GPOLY_K, MAX_GPOLY_K, MAX_GPOLY_K_COUNT)},
+    "trace": {"nu": (2, MAX_NU), "n": (1, MAX_TRACE_N)},
+    "rademacher": {"n": (1, rademacher.MAX_N)},
+}
 
 
 def _setting(key: str, value):
@@ -211,18 +223,6 @@ def _int_range(text: str) -> range:
     return out
 
 
-def _nu(text: str) -> int:
-    """A weight index nu, at most MAX_NU (argparse type); the commands
-    check the lower bound."""
-    try:
-        nu = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if nu > MAX_NU:
-        raise argparse.ArgumentTypeError(f"nu must be at most {MAX_NU}, got {nu}")
-    return nu
-
-
 def _parse_method(method: str) -> tuple[str, int]:
     """--method as (kind, integer): ("euler", 0), ("trace", NU) with
     2 <= NU <= MAX_NU or ("rademacher", C) with C in the ``--depth-c`` domain."""
@@ -241,6 +241,21 @@ def _parse_method(method: str) -> tuple[str, int]:
             f"with integer C in {c_lo}..{c_hi}, got {method!r}"
         )
     return kind, value
+
+
+def _check_arguments(args: argparse.Namespace) -> None:
+    """Every integer argument of the request in its ARGUMENT_BOUNDS domain,
+    whatever the command, before the command does any work."""
+    command = args.command
+    if command == "partition":
+        command += " " + _parse_method(args.method)[0]
+    for name, (lo, hi, *count) in ARGUMENT_BOUNDS.get(command, {}).items():
+        value = getattr(args, name.lstrip("-"))
+        for end in (value[0], value[-1]) if isinstance(value, range) else (value,):
+            if not lo <= end <= hi:
+                raise ValueError(f"argument {name}: {name} must lie in {lo}..{hi}, got {end}")
+        if count and len(value) > count[0]:
+            raise ValueError(f"argument {name}: {name} must hold 1..{count[0]} values, got {len(value)}")
 
 
 def _rademacher_record(n: int, depth: int) -> dict:
@@ -263,14 +278,6 @@ def _partition_by_method(n: int, method: str, kind: str, value: int, table, trac
 def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
     ns = args.n
     kind, value = _parse_method(args.method)
-    if ns[0] < 0:
-        raise ValueError(f"argument n: n must be at least 0, got {ns[0]}")
-    if kind != "euler" and ns[0] < 1:
-        raise ValueError(f"argument n: --method {args.method} needs n >= 1, got {ns[0]}")
-    if ns[-1] > MAX_PARTITION_N:
-        raise ValueError(f"argument n: n must be at most {MAX_PARTITION_N}, got {ns[-1]}")
-    if kind == "trace" and ns[-1] > MAX_TRACE_N:
-        raise ValueError(f"argument n: --method {args.method} needs n <= {MAX_TRACE_N}, got {ns[-1]}")
     table = traces = None
     if args.cross_check or kind != "rademacher":
         # one table serves every n of the request
@@ -313,12 +320,6 @@ def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_gpoly(args, cfg: RunConfig) -> tuple[dict, int]:
-    if abs(args.n) > MAX_GPOLY_N:
-        raise ValueError(f"argument n: |n| must be at most {MAX_GPOLY_N}, got {args.n}")
-    if max(-args.k[0], args.k[-1]) > MAX_GPOLY_K:
-        raise ValueError(f"argument --k: |k| must be at most {MAX_GPOLY_K}, got {args.k[0]}..{args.k[-1]}")
-    if len(args.k) > MAX_GPOLY_K_COUNT:
-        raise ValueError(f"argument --k: |range| must be at most {MAX_GPOLY_K_COUNT}, got {len(args.k)} values")
     results = [
         {"nu": args.nu, "n": args.n, "k": k, "value": partitions.recurrence_weight(args.nu, args.n, k)}
         for k in args.k
@@ -327,8 +328,6 @@ def cmd_gpoly(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_trace(args, cfg: RunConfig) -> tuple[dict, int]:
-    if not 1 <= args.n <= MAX_TRACE_N:
-        raise ValueError(f"argument n: n must lie in 1..{MAX_TRACE_N}, got {args.n}")
     series = hecke.trace_series(args.nu, args.n)
     results = [{"n": n, "value": series.value(n)} for n in range(1, args.n + 1)]
     return {"command": "trace", "nu": args.nu, "results": results}, 0
@@ -343,37 +342,23 @@ def cmd_eigenforms(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
-    nu = args.nu
-    big_n = cfg.big_n if cfg.big_n is not None else dmod.default_big_n(nu)
-    est = dmod.petersson_norm_estimate(nu, cfg.big_m, big_n, cfg.dps)
+    est = dmod.petersson_norm_estimate(args.nu, cfg.big_m, cfg.big_n, cfg.dps)
     results = [
         {"eigenform": i + 1, "double_sum": value, "projection_exact": gamma, "norm_estimate": norm}
         for i, (value, gamma, norm) in enumerate(zip(est.double_sums, est.projections, est.estimates))
     ]
-    payload = {
-        "command": "dirichlet",
-        "nu": nu,
-        "big_m": cfg.big_m,
-        "big_n": big_n,
-        "results": results,
-    }
-    return payload, 0
+    return {"command": "dirichlet", "nu": args.nu, "big_m": est.big_m, "big_n": est.big_n,
+            "results": results}, 0
 
 
 def cmd_rademacher(args, cfg: RunConfig) -> tuple[dict, int]:
-    if args.n[0] < 1:
-        raise ValueError(f"argument n: n must be at least 1, got {args.n[0]}")
     results = [_rademacher_record(n, cfg.depth_c) for n in args.n]
     return {"command": "rademacher", "results": results}, 0
 
 
 def cmd_verify(args, cfg: RunConfig) -> tuple[dict, int]:
-    try:
-        report = verify.run_suite(args.suite)
-    except KeyError as exc:
-        raise ValueError(str(exc)) from exc
-    payload = {"command": "verify", "results": report}
-    return payload, 0 if report["ok"] else 1
+    report = verify.run_suite(args.suite)
+    return {"command": "verify", "results": report}, 0 if report["ok"] else 1
 
 
 def _shared_options() -> argparse.ArgumentParser:
@@ -416,17 +401,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = add("pnu", "eta bracket with its exact decomposition")
-    p.add_argument("nu", type=_nu)
+    p.add_argument("nu", type=int)
     p.set_defaults(func=cmd_pnu)
 
     p = add("gpoly", "recurrence weight polynomial values")
-    p.add_argument("nu", type=_nu)
+    p.add_argument("nu", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--k", type=_int_range, default=range(1), help="index or inclusive range a..b")
     p.set_defaults(func=cmd_gpoly)
 
     p = add("trace", "exact trace values 1..N")
-    p.add_argument("nu", type=_nu)
+    p.add_argument("nu", type=int)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_trace)
 
@@ -459,6 +444,7 @@ def main(argv=None) -> int:
         return 2
     start = time.perf_counter()
     try:
+        _check_arguments(args)
         payload, code = args.func(args, cfg)
     except InternalCancellationError as exc:
         print(f"pentarc: internal assertion failed: {exc}", file=sys.stderr)

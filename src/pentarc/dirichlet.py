@@ -100,7 +100,7 @@ def dirichlet_weight(nu: int, j: int, m: int) -> PiScalar:
           / (rising(-1/2-j, nu) * rising(5/2, j))
 
     The Gamma block is rational, so the result is a rational multiple of
-    pi^(2(1-2nu)).
+    pi^(1-2nu): its ``half_pi_pow`` is 2(1-2nu).
     """
     if nu < 2:
         raise ValueError("dirichlet_weight needs nu >= 2")

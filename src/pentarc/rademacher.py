@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -41,6 +42,7 @@ __all__ = [
     "CUSP_WIDTH",
     "CUSP_PARAMETER",
     "MAX_DEPTH_C",
+    "MAX_N",
     "Root24",
     "eta_multiplier",
     "KloostermanSum",
@@ -56,6 +58,9 @@ CUSP_PARAMETER = 23
 #: ``--method rademacher:C``); the coset rows of every c <= C take about
 #: 50 MB at C = 1000, and memory grows as C^2
 MAX_DEPTH_C = 1000
+#: largest n that ``rademacher_pn`` evaluates in binary64: cosh x overflows once
+#: x > log(2 * float max), and the c = 1 Bessel argument is x = pi sqrt(24n - 1)/6
+MAX_N = int(((6 / math.pi * (math.log(sys.float_info.max) + math.log(2))) ** 2 + 1) / 24)
 
 
 class Root24:
@@ -218,8 +223,8 @@ def rademacher_pn(n: int, depth: int = 50) -> RademacherEstimate:
 
     The q^((24n-1)/24) coefficient of the generating function corresponds
     to series index 24n - 24 and principal-part argument m = -24.  Raises
-    PrecisionError when the c = 1 Bessel term overflows binary64 (n above
-    about 76,800).
+    PrecisionError when the c = 1 Bessel term overflows binary64, for n
+    above MAX_N (76716).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

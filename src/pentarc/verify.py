@@ -212,7 +212,7 @@ SUITES["all"] = tuple(CHECKS)
 def run_suite(name: str) -> dict:
     """Run a named suite; returns a report with per-check timing."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     results = []
     for check_name in SUITES[name]:
         start = time.perf_counter()

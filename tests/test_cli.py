@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import pentarc
 from pentarc import dirichlet as dmod
-from pentarc import hecke, partitions, rankincohen
+from pentarc import hecke, partitions, rankincohen, verify
 from pentarc.cli import (
     MAX_BIG_M,
     MAX_DPS,
@@ -27,7 +27,7 @@ from pentarc.cli import (
     MAX_TRACE_N,
     main,
 )
-from pentarc.rademacher import MAX_DEPTH_C
+from pentarc.rademacher import MAX_DEPTH_C, MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -247,8 +247,7 @@ def test_rademacher_beyond_binary64_exits_2(capsys):
     code = main(["rademacher", "80000"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "p(80000)" in captured.err and "binary64" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == f"pentarc: argument n: n must lie in 1..{MAX_N}, got 80000\n"
 
 
 def test_cli_import_loads_neither_numpy_nor_mpmath():
@@ -266,8 +265,10 @@ def test_verify_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _ = run_cli(capsys, "verify", "no-such-suite")
-    assert code == 2
+    code = main(["verify", "no-such-suite"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pentarc: unknown suite 'no-such-suite'; choose from {sorted(verify.SUITES)}\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -365,28 +366,40 @@ def test_bad_partition_method_exits_2(capsys, argv, named):
 
 @pytest.mark.parametrize("argv", [["pnu", "X"], ["trace", "X", "5"], ["gpoly", "X", "1"]])
 def test_nu_above_ceiling_exits_2(capsys, argv):
+    lo = 2 if argv[0] == "trace" else 0
     argv = [str(MAX_NU + 1) if a == "X" else a for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert "argument nu" in captured.err and f"at most {MAX_NU}" in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["gpoly", str(MAX_NU), str(-MAX_GPOLY_N - 1)], "argument n"),
-        (["gpoly", str(MAX_NU), "1", "--k", f"{MAX_GPOLY_K}..{MAX_GPOLY_K + 1}"], "argument --k"),
-        (["gpoly", str(MAX_NU), "1", f"--k={-MAX_GPOLY_K - 1}..{-MAX_GPOLY_K}"], "argument --k"),
-        (["gpoly", str(MAX_NU), "1", f"--k=0..{MAX_GPOLY_K_COUNT}"], "argument --k"),  # one value too many
-    ],
-)
-def test_gpoly_argument_above_ceiling_exits_2(capsys, argv, named):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert f"pentarc: {named}: |" in captured.err and "at most" in captured.err
+    assert captured.err == f"pentarc: argument nu: nu must lie in {lo}..{MAX_NU}, got {MAX_NU + 1}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named, message",
+    [
+        pytest.param(
+            ["gpoly", str(MAX_NU), str(-MAX_GPOLY_N - 1)], "argument n",
+            f"n must lie in {-MAX_GPOLY_N}..{MAX_GPOLY_N}, got {-MAX_GPOLY_N - 1}", id="argv0-argument n",
+        ),
+        pytest.param(
+            ["gpoly", str(MAX_NU), "1", "--k", f"{MAX_GPOLY_K}..{MAX_GPOLY_K + 1}"], "argument --k",
+            f"--k must lie in {-MAX_GPOLY_K}..{MAX_GPOLY_K}, got {MAX_GPOLY_K + 1}", id="argv1-argument --k",
+        ),
+        pytest.param(
+            ["gpoly", str(MAX_NU), "1", f"--k={-MAX_GPOLY_K - 1}..{-MAX_GPOLY_K}"], "argument --k",
+            f"--k must lie in {-MAX_GPOLY_K}..{MAX_GPOLY_K}, got {-MAX_GPOLY_K - 1}", id="argv2-argument --k",
+        ),
+        pytest.param(  # one value too many
+            ["gpoly", str(MAX_NU), "1", f"--k=0..{MAX_GPOLY_K_COUNT}"], "argument --k",
+            f"--k must hold 1..{MAX_GPOLY_K_COUNT} values, got {MAX_GPOLY_K_COUNT + 1}", id="argv3-argument --k",
+        ),
+    ],
+)
+def test_gpoly_argument_above_ceiling_exits_2(capsys, argv, named, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pentarc: {named}: {message}\n"
 
 
 @pytest.mark.parametrize("n", [0, MAX_TRACE_N + 1])
@@ -483,10 +496,14 @@ def test_float_mode_at_its_ceiling(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["partition", str(MAX_PARTITION_N + 1)], f"n must be at most {MAX_PARTITION_N}"),
-        (["partition", f"1..{MAX_PARTITION_N + 1}", "--method", "rademacher:5"], f"n must be at most {MAX_PARTITION_N}"),
-        (["partition", str(MAX_TRACE_N + 1), "--method", "trace:6"], f"--method trace:6 needs n <= {MAX_TRACE_N}"),
+        (["partition", str(MAX_PARTITION_N + 1)], f"n must lie in 0..{MAX_PARTITION_N}, got {MAX_PARTITION_N + 1}"),
+        (
+            ["partition", f"1..{MAX_PARTITION_N + 1}", "--method", "rademacher:5"],
+            f"n must lie in 1..{MAX_N}, got {MAX_PARTITION_N + 1}",
+        ),
+        (["partition", str(MAX_TRACE_N + 1), "--method", "trace:6"], f"n must lie in 1..{MAX_TRACE_N}, got {MAX_TRACE_N + 1}"),
     ],
+    ids=["euler", "rademacher", "trace"],
 )
 def test_partition_n_above_ceiling_exits_2(capsys, argv, message):
     start = time.perf_counter()
@@ -494,13 +511,68 @@ def test_partition_n_above_ceiling_exits_2(capsys, argv, message):
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and elapsed < 1
-    assert f"pentarc: argument n: {message}, got" in captured.err
+    assert captured.err == f"pentarc: argument n: {message}\n"
 
 
 def test_partition_trace_method_at_its_ceiling(capsys):
     # weight 14 has no cusp form, so only the Euler table is built
     code, data = run_json(capsys, "partition", str(MAX_TRACE_N), "--method", "trace:7")
     assert code == 0 and data["results"][0]["n"] == MAX_TRACE_N
+
+
+#: the documented domain lo..hi of each integer argument, in a request that puts it at X
+ARGUMENTS = [
+    (["partition", "--", "X"], "n", 0, MAX_PARTITION_N),  # "--": a range may start below 0
+    (["partition", "X", "--method", "trace:6"], "n", 1, MAX_TRACE_N),
+    (["partition", "X", "--method", "rademacher:5"], "n", 1, MAX_N),
+    (["pnu", "X"], "nu", 0, MAX_NU),
+    (["gpoly", "X", "1"], "nu", 0, MAX_NU),
+    (["gpoly", "2", "X"], "n", -MAX_GPOLY_N, MAX_GPOLY_N),
+    (["gpoly", "2", "1", "--k=X"], "--k", -MAX_GPOLY_K, MAX_GPOLY_K),
+    (["trace", "X", "5"], "nu", 2, MAX_NU),
+    (["trace", "6", "X"], "n", 1, MAX_TRACE_N),
+    (["rademacher", "X"], "n", 1, MAX_N),
+]
+#: the arguments that take a range a..b
+RANGES = [case for case in ARGUMENTS if case[0][0] in ("partition", "rademacher") or case[1] == "--k"]
+
+
+def outside_cases():
+    """Each argument at lo - 1 and hi + 1, and each range argument with
+    one end inside its domain and the other outside."""
+    for argv, name, lo, hi in ARGUMENTS:
+        for text, bad in ((str(lo - 1), lo - 1), (str(hi + 1), hi + 1)):
+            yield pytest.param(argv, name, lo, hi, text, bad, id=f"{' '.join(argv)}:{text}")
+    for argv, name, lo, hi in RANGES:
+        for text, bad in ((f"{lo - 1}..{lo}", lo - 1), (f"{hi}..{hi + 1}", hi + 1)):
+            yield pytest.param(argv, name, lo, hi, text, bad, id=f"{' '.join(argv)}:{text}")
+
+
+@pytest.mark.parametrize("argv, name, lo, hi, text, bad", outside_cases())
+def test_argument_outside_domain_exits_2_naming_it(capsys, argv, name, lo, hi, text, bad):
+    code = main([a.replace("X", text) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pentarc: argument {name}: {name} must lie in {lo}..{hi}, got {bad}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["pnu", "0"], ["trace", "2", "1"], ["trace", "2", str(MAX_TRACE_N)], ["gpoly", "0", "1"],
+             ["partition", "0"], ["rademacher", str(MAX_N)]],
+)
+def test_argument_at_an_end_of_its_domain(capsys, argv):
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and data["results"]
+
+
+@pytest.mark.parametrize("argv", [["rademacher", "1..80000"], ["partition", "1..80000", "--method", "rademacher:5"]])
+def test_range_past_binary64_exits_2_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and elapsed < 1
+    assert captured.err == f"pentarc: argument n: n must lie in 1..{MAX_N}, got 80000\n"
 
 
 @pytest.mark.parametrize("n", ["3", "1..3000"])  # output inside and beyond stdout's buffer

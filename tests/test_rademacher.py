@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentarc import rademacher
+from pentarc.errors import PrecisionError
 from pentarc.partitions import partition_table
 from pentarc.rademacher import (
     CUSP_PARAMETER,
     MAX_DEPTH_C,
+    MAX_N,
     KloostermanSum,
     Root24,
     _kloosterman_sum,
@@ -306,6 +308,12 @@ def test_rademacher_validation():
         rademacher_pn(0, 10)
     with pytest.raises(ValueError):
         rademacher_pn(3, 0)
+
+
+def test_max_n_is_the_last_n_inside_binary64():
+    assert math.isfinite(rademacher_pn(MAX_N).estimate)
+    with pytest.raises(PrecisionError, match=rf"p\({MAX_N + 1}\): .* at c = 1 leaves the binary64 range"):
+        rademacher_pn(MAX_N + 1)
 
 
 def test_rademacher_does_not_import_the_hecke_stack():
