@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import get_type_hints
 
 from . import dirichlet as dmod
@@ -68,57 +68,63 @@ class RunConfig:
     fmt: str = "json"
     out: str | None = None
 
-    @cached_property
-    def dps(self) -> int | None:
-        """Decimal digits of the wide float mode; None for binary64."""
-        return _parse_float_mode(self.float_mode)
-
 
 def _parse_float_mode(mode: str) -> int | None:
+    """The dps of ``--float-mode wide:<dps>``, whose domain ``_setting`` checks; None for binary64."""
     if mode == "binary64":
         return None
     kind, _, digits = str(mode).partition(":")
-    # below 15 digits mpmath is coarser than the binary64 weights it replaces; the
-    # length test keeps int() from strings of over 4300 digits, which it refuses
-    if kind != "wide" or not digits.isdecimal() or len(digits) > 9 or not 15 <= int(digits) <= MAX_DPS:
-        raise ValueError(
-            f"--float-mode must be binary64 or wide:<dps> with integer dps in 15..{MAX_DPS}, got {mode!r}"
-        )
-    return int(digits)
+    try:
+        if kind == "wide" and digits.isdecimal():
+            return int(digits)
+    except ValueError:  # int() refuses strings of over 4300 digits
+        pass
+    raise ValueError("--float-mode must be binary64 or wide:<dps> with integer dps in %d..%d, got %r"
+                     % (*DOMAINS["settings"]["dps"], mode))
 
 
 #: each RunConfig field's type, read once: ``get_type_hints`` takes about 0.1 ms a call
 _FIELD_TYPES = get_type_hints(RunConfig)
-#: the domain lo..hi of each integer setting; ``big_n`` may also be None (the per-weight default)
-BOUNDS = {
-    "prec": (2, MAX_PREC),
-    "big_m": (0, MAX_BIG_M),
-    "big_n": (1, dmod.MAX_BIG_N),
-    "depth_c": (1, rademacher.MAX_DEPTH_C),
-}
-#: the domain lo..hi of each integer argument, by command (partition's n by --method kind); a range
-#: argument lies in it at both ends, and a third entry caps how many values it holds
-ARGUMENT_BOUNDS = {
+_TRACE_NU, _DEPTH_C = (2, MAX_NU), (1, rademacher.MAX_DEPTH_C)
+#: the domain lo..hi of every integer a request reads: the run settings whatever the command ("dps"
+#: that of ``--float-mode wide:<dps>``, below which mpmath is coarser than binary64; ``big_n`` may
+#: also be None), then each command's arguments, partition's by --method kind ("--method NU": NU of
+#: ``trace:NU``, whose domain is trace nu's as C's is --depth-c's).  A range lies in its domain at
+#: both ends; a third entry caps how many values it holds
+DOMAINS = {
+    "settings": {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (1, dmod.MAX_BIG_N),
+                 "depth_c": _DEPTH_C, "dps": (15, MAX_DPS)},
     "partition euler": {"n": (0, MAX_PARTITION_N)},
-    "partition trace": {"n": (1, MAX_TRACE_N)},
-    "partition rademacher": {"n": (1, rademacher.MAX_N)},
+    "partition trace": {"--method NU": _TRACE_NU, "n": (1, MAX_TRACE_N)},
+    "partition rademacher": {"--method C": _DEPTH_C, "n": (1, rademacher.MAX_N)},
     "pnu": {"nu": (0, MAX_NU)},
     "gpoly": {"nu": (0, MAX_NU), "n": (-MAX_GPOLY_N, MAX_GPOLY_N),
               "--k": (-MAX_GPOLY_K, MAX_GPOLY_K, MAX_GPOLY_K_COUNT)},
-    "trace": {"nu": (2, MAX_NU), "n": (1, MAX_TRACE_N)},
+    "trace": {"nu": _TRACE_NU, "n": (1, MAX_TRACE_N)},
+    "eigenforms": {"weight": (12, 2 * MAX_NU)},
+    "dirichlet": {"nu": (6, MAX_NU)},
     "rademacher": {"n": (1, rademacher.MAX_N)},
 }
+
+
+def _check_domain(name: str, value, domain: tuple, where: str = "") -> None:
+    """``value``, an integer or a range (checked at both ends), in ``domain``: the one domain
+    check of settings and arguments alike.  Its message names ``name``, after ``where``."""
+    lo, hi, *count = domain
+    for end in (value[0], value[-1]) if isinstance(value, range) else (value,):
+        if not lo <= end <= hi:
+            raise ValueError(f"{where}{name} must lie in {lo}..{hi}, got {end}")
+    if count and len(value) > count[0]:
+        raise ValueError(f"{where}{name} must hold 1..{count[0]} values, got {len(value)}")
 
 
 def _setting(key: str, value):
     """``value`` as RunConfig field ``key``, if it lies in the field's domain.
     Every source of a setting passes through here, whatever the command."""
-    if key in BOUNDS and value is not None:
-        lo, hi = BOUNDS[key]
-        if not lo <= value <= hi:
-            raise ValueError(f"--{key.replace('_', '-')} must lie in {lo}..{hi}, got {value}")
-    elif key == "float_mode":
-        _parse_float_mode(value)
+    if key == "float_mode" and (dps := _parse_float_mode(value)) is not None:
+        _check_domain("--float-mode dps", dps, DOMAINS["settings"]["dps"])
+    elif key in DOMAINS["settings"] and value is not None:
+        _check_domain("--" + key.replace("_", "-"), value, DOMAINS["settings"][key])
     elif key == "fmt" and value not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {value!r}")
     return value
@@ -149,7 +155,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raw = os.environ.get(name) if key != "out" else None  # --out has no environment variable
         if raw is not None:
             try:
-                values[key] = _setting(key, int(raw) if key in BOUNDS else raw)
+                values[key] = _setting(key, int(raw) if key in DOMAINS["settings"] else raw)
             except ValueError as exc:
                 raise ValueError(f"environment variable {name}: {exc}") from None
     for key in _FIELD_TYPES:
@@ -224,38 +230,31 @@ def _int_range(text: str) -> range:
 
 
 def _parse_method(method: str) -> tuple[str, int]:
-    """--method as (kind, integer): ("euler", 0), ("trace", NU) with
-    2 <= NU <= MAX_NU or ("rademacher", C) with C in the ``--depth-c`` domain."""
+    """--method as (kind, integer): ("euler", 0), ("trace", NU) or ("rademacher", C).
+    The integer's domain is checked with the other arguments'."""
     if method == "euler":
         return "euler", 0
     kind, _, raw = method.partition(":")
-    c_lo, c_hi = BOUNDS["depth_c"]
-    bounds = {"trace": (2, MAX_NU), "rademacher": (c_lo, c_hi)}.get(kind)
     try:
-        value = int(raw)
+        if kind in ("trace", "rademacher"):
+            return kind, int(raw)
     except ValueError:
-        value = None
-    if bounds is None or value is None or not bounds[0] <= value <= bounds[1]:
-        raise ValueError(
-            f"--method must be euler, trace:NU with integer NU in 2..{MAX_NU} or rademacher:C "
-            f"with integer C in {c_lo}..{c_hi}, got {method!r}"
-        )
-    return kind, value
+        pass
+    raise ValueError("--method must be euler, trace:NU with integer NU in %d..%d or rademacher:C "
+                     "with integer C in %d..%d, got %r" % (*_TRACE_NU, *_DEPTH_C, method))
 
 
 def _check_arguments(args: argparse.Namespace) -> None:
-    """Every integer argument of the request in its ARGUMENT_BOUNDS domain,
-    whatever the command, before the command does any work."""
+    """Every integer argument of the request in its DOMAINS entry, whatever the command, before
+    the command does any work; partition's --method is parsed here, once, into args.kind and .value."""
     command = args.command
     if command == "partition":
-        command += " " + _parse_method(args.method)[0]
-    for name, (lo, hi, *count) in ARGUMENT_BOUNDS.get(command, {}).items():
-        value = getattr(args, name.lstrip("-"))
-        for end in (value[0], value[-1]) if isinstance(value, range) else (value,):
-            if not lo <= end <= hi:
-                raise ValueError(f"argument {name}: {name} must lie in {lo}..{hi}, got {end}")
-        if count and len(value) > count[0]:
-            raise ValueError(f"argument {name}: {name} must hold 1..{count[0]} values, got {len(value)}")
+        args.kind, args.value = _parse_method(args.method)
+        command += " " + args.kind
+    for key, domain in DOMAINS.get(command, {}).items():
+        argument, _, part = key.partition(" ")  # "--method NU": the NU of --method
+        value = args.value if part else getattr(args, argument.lstrip("-"))
+        _check_domain(part or argument, value, domain, f"argument {argument}: ")
 
 
 def _rademacher_record(n: int, depth: int) -> dict:
@@ -276,8 +275,7 @@ def _partition_by_method(n: int, method: str, kind: str, value: int, table, trac
 
 
 def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
-    ns = args.n
-    kind, value = _parse_method(args.method)
+    ns, kind, value = args.n, args.kind, args.value
     table = traces = None
     if args.cross_check or kind != "rademacher":
         # one table serves every n of the request
@@ -342,7 +340,7 @@ def cmd_eigenforms(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
-    est = dmod.petersson_norm_estimate(args.nu, cfg.big_m, cfg.big_n, cfg.dps)
+    est = dmod.petersson_norm_estimate(args.nu, cfg.big_m, cfg.big_n, _parse_float_mode(cfg.float_mode))
     results = [
         {"eigenform": i + 1, "double_sum": value, "projection_exact": gamma, "norm_estimate": norm}
         for i, (value, gamma, norm) in enumerate(zip(est.double_sums, est.projections, est.estimates))
@@ -368,22 +366,26 @@ def _shared_options() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     for key, text in (("prec", "q-coefficients (default 60)"), ("big_m", "Dirichlet M"),
                       ("big_n", "Dirichlet n-truncation"), ("depth_c", "Kloosterman depth C")):
-        flag = "--" + key.replace("_", "-")
-        shared.add_argument(flag, dest=key, type=int, default=S, help="%s, %d..%d" % (text, *BOUNDS[key]))
-    shared.add_argument(
-        "--float-mode", dest="float_mode", default=S,
-        help=f"binary64 (default) or wide:<dps>, dps in 15..{MAX_DPS}, for mpmath weight evaluation",
-    )
+        help_text = "%s, %d..%d" % (text, *DOMAINS["settings"][key])
+        shared.add_argument("--" + key.replace("_", "-"), dest=key, type=int, default=S, help=help_text)
+    shared.add_argument("--float-mode", dest="float_mode", default=S, help="binary64 (default) or "
+                        "wide:<dps>, dps in %d..%d, for mpmath weight evaluation" % DOMAINS["settings"]["dps"])
     shared.add_argument("--format", dest="fmt", choices=FORMATS, default=S)
     shared.add_argument("--out", default=S, help="write output to a file instead of stdout")
     shared.add_argument("--config", default=S, help="optional JSON config file (flags win)")
     return shared
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-" and a digit as a value, as no option starts so: "-1..5" is a range starting below 0."""
+    def _parse_optional(self, arg):  # the subcommands' parsers are of this class too
+        return None if arg[:1] == "-" and arg[1:2].isdigit() else super()._parse_optional(arg)
+
+
 @lru_cache(maxsize=1)  # parsing leaves the parser as it is, so every request shares one
 def build_parser() -> argparse.ArgumentParser:
     shared = _shared_options()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pentarc",
         parents=[shared],
         description="Exact pentagonal partition recurrences, eta-bracket "

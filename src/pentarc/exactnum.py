@@ -213,7 +213,7 @@ class QuadNum:
         self.d = d
 
     @staticmethod
-    def _coerce(value, d: int) -> "QuadNum":
+    def _coerce(value) -> "QuadNum":
         if isinstance(value, QuadNum):
             return value
         if isinstance(value, (int, Fraction)):
@@ -221,7 +221,7 @@ class QuadNum:
         raise TypeError(f"cannot interpret {value!r} as QuadNum")
 
     def _join(self, other) -> tuple["QuadNum", "QuadNum", int]:
-        other = self._coerce(other, self.d)
+        other = self._coerce(other)
         if self.d == other.d:
             return self, other, self.d
         if self.b == 0:
@@ -240,7 +240,7 @@ class QuadNum:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other, self.d))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -258,7 +258,7 @@ class QuadNum:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other, self.d)
+        other = self._coerce(other)
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero QuadNum")
@@ -266,7 +266,7 @@ class QuadNum:
         return QuadNum(num.a / n, num.b / n, num.d)
 
     def __rtruediv__(self, other):
-        return self._coerce(other, self.d) / self
+        return self._coerce(other) / self
 
     def conjugate(self) -> "QuadNum":
         return QuadNum(self.a, -self.b, self.d)

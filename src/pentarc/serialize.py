@@ -82,6 +82,4 @@ def jsonable(obj):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": float_str(obj.real), "im": float_str(obj.imag)}
     return obj

@@ -112,7 +112,8 @@ def test_partition_builds_one_table(capsys):
     "argv, arg",
     [(["partition", "5..1"], "argument n"), (["rademacher", "3..2"], "argument n"),
      (["gpoly", "2", "1", "--k", "1..0"], "argument --k"), (["partition", "1..x"], "argument n"),
-     (["partition", "5.."], "argument n"), (["gpoly", "2", "1", "--k=3.."], "argument --k")],
+     (["partition", "5.."], "argument n"), (["gpoly", "2", "1", "--k=3.."], "argument --k"),
+     (["partition", "-1..-5"], "argument n"), (["gpoly", "2", "1", "--k", "-1..x"], "argument --k")],
 )
 def test_empty_or_malformed_range_exits_2(capsys, argv, arg):
     with pytest.raises(SystemExit) as exc:
@@ -340,6 +341,15 @@ def test_env_and_config_precedence(tmp_path, capsys, monkeypatch):
     assert data["results"][0]["depth"] == 9
 
 
+#: the message of each well-formed --method whose integer lies outside its domain
+METHOD_OUTSIDE_DOMAIN = {
+    "trace:1": "NU must lie in 2..200, got 1",
+    "trace:201": "NU must lie in 2..200, got 201",
+    "rademacher:0": "C must lie in 1..1000, got 0",
+    "rademacher:1001": "C must lie in 1..1000, got 1001",
+}
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -358,7 +368,9 @@ def test_bad_partition_method_exits_2(capsys, argv, named):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert named in captured.err and "Traceback" not in captured.err
-    if named == "--method":
+    if argv[-1] in METHOD_OUTSIDE_DOMAIN:
+        assert captured.err == f"pentarc: argument --method: {METHOD_OUTSIDE_DOMAIN[argv[-1]]}\n"
+    elif named == "--method":
         assert "trace:NU" in captured.err and "rademacher:C" in captured.err
     else:
         assert "n_max" not in captured.err
@@ -465,12 +477,20 @@ def test_truncation_at_its_ceiling(capsys, key, argv):
     assert code == 0 and data["config"][key] == int(argv[1])
 
 
+MALFORMED_FLOAT_MODE = "--float-mode must be binary64 or wide:<dps> with integer dps in 15..1000"
+
+
 @pytest.mark.parametrize(
-    "mode",
-    [f"wide:{MAX_DPS + 1}", "wide:" + "9" * 5000, "wide:\u00b2"],
+    "mode, message",
+    [
+        (f"wide:{MAX_DPS + 1}", f"--float-mode dps must lie in 15..1000, got {MAX_DPS + 1}"),
+        # int() refuses 5000 digits, and a superscript is no decimal digit: both are malformed
+        ("wide:" + "9" * 5000, MALFORMED_FLOAT_MODE),
+        ("wide:\u00b2", MALFORMED_FLOAT_MODE),
+    ],
     ids=["ceiling+1", "5000-digits", "superscript"],
 )
-def test_float_mode_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, mode):
+def test_float_mode_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, mode, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"float_mode": mode}), encoding="utf-8")
     # the flag, the environment and the config file all reach the same check
@@ -484,7 +504,7 @@ def test_float_mode_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, mode):
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and elapsed < 1
-        assert f"--float-mode must be binary64 or wide:<dps> with integer dps in 15..{MAX_DPS}" in captured.err
+        assert message in captured.err and "bad configuration" in captured.err
         assert "Traceback" not in captured.err
 
 
@@ -522,7 +542,7 @@ def test_partition_trace_method_at_its_ceiling(capsys):
 
 #: the documented domain lo..hi of each integer argument, in a request that puts it at X
 ARGUMENTS = [
-    (["partition", "--", "X"], "n", 0, MAX_PARTITION_N),  # "--": a range may start below 0
+    (["partition", "X"], "n", 0, MAX_PARTITION_N),
     (["partition", "X", "--method", "trace:6"], "n", 1, MAX_TRACE_N),
     (["partition", "X", "--method", "rademacher:5"], "n", 1, MAX_N),
     (["pnu", "X"], "nu", 0, MAX_NU),
@@ -532,6 +552,8 @@ ARGUMENTS = [
     (["trace", "X", "5"], "nu", 2, MAX_NU),
     (["trace", "6", "X"], "n", 1, MAX_TRACE_N),
     (["rademacher", "X"], "n", 1, MAX_N),
+    (["dirichlet", "X"], "nu", 6, 200),
+    (["eigenforms", "X"], "weight", 12, 400),
 ]
 #: the arguments that take a range a..b
 RANGES = [case for case in ARGUMENTS if case[0][0] in ("partition", "rademacher") or case[1] == "--k"]
@@ -558,11 +580,63 @@ def test_argument_outside_domain_exits_2_naming_it(capsys, argv, name, lo, hi, t
 
 @pytest.mark.parametrize(
     "argv", [["pnu", "0"], ["trace", "2", "1"], ["trace", "2", str(MAX_TRACE_N)], ["gpoly", "0", "1"],
-             ["partition", "0"], ["rademacher", str(MAX_N)]],
+             ["partition", "0"], ["rademacher", str(MAX_N)], ["eigenforms", "12"], ["dirichlet", "6"]],
 )
 def test_argument_at_an_end_of_its_domain(capsys, argv):
     code, data = run_json(capsys, *argv)
     assert code == 0 and data["results"]
+
+
+#: the integer inside a --method or --float-mode value, put at X, with the name its message
+#: gives it and its domain lo..hi, written out
+INNER_INTEGERS = [
+    (["partition", "3", "--method", "trace:X"], "argument --method: NU", 2, 200),
+    (["partition", "3", "--method", "rademacher:X"], "argument --method: C", 1, 1000),
+    (["--float-mode", "wide:X", "--big-m", "0", "--big-n", "1", "dirichlet", "6"],
+     "bad configuration: --float-mode dps", 15, 1000),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, lo, hi, bad",
+    [
+        pytest.param(argv, name, lo, hi, bad, id=f"{' '.join(argv)}:{bad}")
+        for argv, name, lo, hi in INNER_INTEGERS
+        for bad in (lo - 1, hi + 1)
+    ],
+)
+def test_integer_inside_a_value_outside_its_domain_exits_2(capsys, argv, name, lo, hi, bad):
+    code = main([a.replace("X", str(bad)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pentarc: {name} must lie in {lo}..{hi}, got {bad}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", "-1..5"], "n must lie in 0..100000, got -1"),
+        (["partition", "--", "-1..5"], "n must lie in 0..100000, got -1"),
+        (["rademacher", "-3..2"], "n must lie in 1..76716, got -3"),
+        (["partition", "-1..5", "--method", "trace:6"], "n must lie in 1..10000, got -1"),
+    ],
+)
+def test_range_starting_below_zero_reaches_the_domain_check(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pentarc: argument n: {message}\n"
+
+
+def test_gpoly_k_range_below_zero_as_a_separate_word(capsys):
+    def without_timings(argv):
+        code, data = run_json(capsys, *argv)
+        data.pop("timings")
+        return code, data
+
+    code, data = without_timings(["gpoly", "2", "1", "--k", "-5..3"])
+    assert code == 0 and [r["k"] for r in data["results"]] == list(range(-5, 4))
+    assert (code, data) == without_timings(["gpoly", "2", "1", "--k=-5..3"])
 
 
 @pytest.mark.parametrize("argv", [["rademacher", "1..80000"], ["partition", "1..80000", "--method", "rademacher:5"]])
@@ -755,8 +829,25 @@ def test_huge_weight_exits_2_at_once(capsys, command):
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "not supported" in captured.err
+    domain = "weight: weight must lie in 12..400" if command == "eigenforms" else "nu: nu must lie in 6..200"
+    assert captured.err == f"pentarc: argument {domain}, got 100000000000\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dirichlet", "7"], "dim S_14 = 0 is not supported"),
+        (["dirichlet", "18"], "dim S_36 = 3 is not supported"),
+        (["eigenforms", "13"], "eigenforms needs an even weight >= 12"),
+        (["eigenforms", "36"], "dim S_36 = 3 is not supported"),
+    ],
+)
+def test_weight_in_domain_without_eigenforms_keeps_the_library_message(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pentarc: {message}\n"
 
 
 def test_flags_do_not_leak_between_requests(tmp_path):
