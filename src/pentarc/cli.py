@@ -13,16 +13,14 @@ assertion failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from . import dirichlet as dmod
 from . import forms, hecke, partitions, rademacher, rankincohen, verify
@@ -58,8 +56,7 @@ MAX_BIG_M = 10**4
 MAX_DPS = 1000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     prec: int = DEFAULT_PREC
     big_m: int = dmod.DEFAULT_BIG_M
     big_n: int | None = None  # None -> per-weight default
@@ -133,7 +130,7 @@ def _setting(key: str, value):
 def _config_from(args: argparse.Namespace) -> RunConfig:
     """Flags win over environment variables, which win over the config file;
     a value is checked wherever it comes from, even when it is overridden."""
-    values = asdict(RunConfig())
+    values = RunConfig()._asdict()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -185,7 +182,7 @@ def _render(payload: dict, fmt: str) -> str:
     if fmt == "text":
         flat = _flat(data)
         return "".join(f"{k}: {v}\n" for k, v in flat.items())
-    # csv, the one format left: _setting admits no other
+    import csv  # csv, the one format left (_setting admits no other), loads only when asked for
     rows = data.get("results", [])
     if isinstance(rows, dict):
         rows = [rows]
@@ -260,8 +257,7 @@ def _check_arguments(args: argparse.Namespace) -> None:
 def _rademacher_record(n: int, depth: int) -> dict:
     """Every field of ``rademacher_pn(n, depth)``, with n: the record of
     ``rademacher`` and of ``partition --method rademacher:C``."""
-    # the fields are flat numbers, so vars gives what asdict would, without its deep copy
-    return {"n": n, **vars(rademacher.rademacher_pn(n, depth))}
+    return {"n": n, **rademacher.rademacher_pn(n, depth)._asdict()}
 
 
 def _partition_by_method(n: int, method: str, kind: str, value: int, table, traces) -> dict:
@@ -457,7 +453,7 @@ def main(argv=None) -> int:
     except (ValueError, PentarcError) as exc:
         print(f"pentarc: {exc}", file=sys.stderr)
         return 2
-    payload["config"] = asdict(cfg)
+    payload["config"] = cfg._asdict()
     payload["timings"] = {"seconds": time.perf_counter() - start}
     try:
         _emit(payload, cfg)

@@ -43,10 +43,10 @@ is 0.0 and leaves the sum's bits alone.  The float weights of a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
@@ -346,8 +346,7 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(NamedTuple):
     """Per-eigenform double sums, exact projection ratios and the Petersson
     norm estimates they give, with the truncations that produced them."""
 

@@ -12,9 +12,9 @@ exact solver ``exactnum.solve``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._coeffs import _monomial_exponents, _monomial_rows, cusp_monomial_coeffs, eisenstein_series
 from .errors import NotInSpaceError, PrecisionError
@@ -89,8 +89,7 @@ def dim_cusp(weight: int) -> int:
     return dim_modular(weight) - 1
 
 
-@dataclass(frozen=True)
-class MFSpace:
+class MFSpace(NamedTuple):
     """Monomial basis E4^a E6^b of M_weight, in lexicographic (a, b) order."""
 
     weight: int

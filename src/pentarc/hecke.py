@@ -22,10 +22,10 @@ projection ratios gamma_i = <bracket, f_i> / <f_i, f_i>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .errors import InternalCancellationError, PrecisionError, UnsupportedHeckeFieldError
 from .exactnum import QuadNum, solve, squarefree_split
@@ -84,8 +84,7 @@ def hecke_operator(f: IntQSeries, weight: int, m: int) -> IntQSeries:
     return IntQSeries._make(0, hecke_action(table, weight, m, out_prec), f.den)
 
 
-@dataclass(frozen=True)
-class Eigenform:
+class Eigenform(NamedTuple):
     """Normalized Hecke eigenform q-expansion over Q(sqrt(disc))."""
 
     weight: int
@@ -106,8 +105,7 @@ class Eigenform:
         return self.coeffs[m].embed()
 
 
-@dataclass(frozen=True)
-class TraceSeries:
+class TraceSeries(NamedTuple):
     nu: int
     values: tuple[Fraction, ...]  # values[n] for n = 0..N, values[0] = 0
 

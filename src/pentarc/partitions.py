@@ -12,10 +12,10 @@ where omega(k) = (3k^2+k)/2 and w_nu(n,k) is the weight polynomial
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
+from typing import NamedTuple
 
 from .errors import InternalCancellationError
 from .exactnum import bernoulli, falling_factorial
@@ -55,8 +55,7 @@ def pentagonal_terms(n_max: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(NamedTuple):
     """p(0..N) as exact integers; p(n) = 0 for n < 0."""
 
     values: tuple[int, ...]

@@ -31,9 +31,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .arith import kronecker_symbol
 from .errors import PrecisionError
@@ -123,8 +123,7 @@ def eta_multiplier(a: int, b: int, c: int, d: int) -> Root24:
     return Root24(sign, e % 24)
 
 
-@dataclass(frozen=True)
-class KloostermanSum:
+class KloostermanSum(NamedTuple):
     c: int
     value: complex
     term_count: int
@@ -206,8 +205,7 @@ def bessel_i32(x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * core
 
 
-@dataclass(frozen=True)
-class RademacherEstimate:
+class RademacherEstimate(NamedTuple):
     """Partial-sum evaluation of p(n): estimate, nearest integer, |gap|,
     absolute imaginary residual, and the depth C used."""
 

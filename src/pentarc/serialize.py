@@ -7,7 +7,6 @@ downstream consumers never coerce them to floats; floats are emitted as
 
 from __future__ import annotations
 
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from .exactnum import PiScalar, QuadNum
@@ -64,6 +63,8 @@ def int_series_dict(s: IntQSeries) -> dict:
 
 def jsonable(obj):
     """Recursively convert package values to JSON-ready structures."""
+    if obj is None or isinstance(obj, (str, int)):  # the commonest leaves (bool is an int)
+        return obj
     if isinstance(obj, Fraction):
         return rat_str(obj)
     if isinstance(obj, float):
@@ -76,10 +77,13 @@ def jsonable(obj):
         return qseries_dict(obj)
     if isinstance(obj, IntQSeries):
         return int_series_dict(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
+    if hasattr(type(obj), "__dataclass_fields__"):  # a dataclass instance, so its module is loaded
+        from dataclasses import asdict
         return jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a record (NamedTuple) maps its fields
+        return jsonable(obj._asdict())
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj

@@ -138,6 +138,22 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, content, named):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "content, line",
+    [({"big_n": "x"}, "config key 'big_n' must be int | None, got 'x'"),
+     ({"prec": True}, "config key 'prec' must be int, got True"),
+     ({"fmt": 3}, "config key 'fmt' must be str, got 3")],
+)
+def test_config_type_error_lines(tmp_path, capsys, content, line):
+    """The whole line, type names included: ``int | None`` is read from RunConfig's annotations."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code = main(["--config", str(cfg), "dirichlet", "6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"pentarc: bad configuration: {line}\n"
+
+
 def test_gpoly_values(capsys):
     code, data = run_json(capsys, "gpoly", "2", "1", "--k", "0..1")
     assert code == 0
@@ -252,10 +268,13 @@ def test_rademacher_beyond_binary64_exits_2(capsys):
 
 
 def test_cli_import_loads_neither_numpy_nor_mpmath():
+    """Nor the start-up costs no request needs: ``dataclasses`` (which loads ``inspect``), and
+    ``csv``, which only ``--format csv`` reads.  Under -S no site hook can load or hide a module."""
     src = os.path.dirname(os.path.dirname(pentarc.__file__))
-    probe = "import sys, pentarc.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    unwanted = {"numpy", "mpmath", "dataclasses", "inspect", "csv"}
+    probe = f"import sys, pentarc.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 

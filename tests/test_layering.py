@@ -1,7 +1,8 @@
 """Module layering follows the math: each pentarc module imports only the
 modules below it.  And every cache in the package is bounded: each
 ``lru_cache`` has an integer maxsize, and no function keeps a memo of its
-own in a module-level list, dict or set.
+own in a module-level list, dict or set.  What a cache returns is shared by
+every caller, so no caller can rebind its fields.
 
 Every module's package imports are read with ``ast``, without importing
 anything, and compared with the dependency graph below.  A new edge, or a
@@ -11,6 +12,8 @@ dropped one, must be written here on purpose.
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import pentarc
 
@@ -185,3 +188,19 @@ def test_every_lru_cache_is_bounded():
             if callees & {"lru_cache", "cache"}:
                 fn = getattr(importlib.import_module(f"pentarc.{path.stem}"), node.name)
                 assert isinstance(fn.cache_parameters()["maxsize"], int), f"{path.stem}.{node.name}"
+
+
+def test_cached_results_are_immutable():
+    from pentarc import dirichlet, forms, hecke, partitions, rademacher
+
+    fields = [
+        (partitions.partition_table(10), "values"), (hecke.trace_series(12, 5), "values"),
+        *((f, "coeffs") for f in hecke.eigenforms(24)), (forms.space_basis(24, 10), "basis"),
+        (rademacher.kloosterman(5, -24, 24), "value"),
+        (dirichlet.petersson_norm_estimate(12, 10, 50), "estimates"),
+    ]
+    for result, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+        with pytest.raises(AttributeError):
+            result.extra = None

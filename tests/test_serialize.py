@@ -1,8 +1,10 @@
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+from pentarc.dirichlet import NormEstimate
 from pentarc.exactnum import PiScalar, QuadNum
 from pentarc.qseries import IntQSeries, QSeries24
+from pentarc.rademacher import KloostermanSum, RademacherEstimate
 from pentarc.serialize import (
     float_str,
     int_series_dict,
@@ -58,3 +60,19 @@ def test_jsonable_recurses_dataclasses():
             "items": [{"a": "1", "b": "2", "d": 5}, "1.5"],
         }
     }
+
+
+def test_jsonable_maps_records_to_dicts():
+    """A record is a tuple, but serializes as the dict of its fields, as it did as a dataclass."""
+    assert jsonable(RademacherEstimate(6.9999999999999982, 7, 1.7763568394002505e-15, 0.0, 3)) == {
+        "estimate": "6.9999999999999982", "nearest": 7, "gap": "1.7763568394002505e-15", "imag": "0",
+        "depth": 3,
+    }
+    assert jsonable(KloostermanSum(2, 1.5 - 0.25j, 1)) == {"c": 2, "value": 1.5 - 0.25j, "term_count": 1}
+    est = NormEstimate(12, 100, 360, (-49.6, 2.0), (QuadNum(F(1, 2), F(-3, 7), 5), QuadNum(1, 0, 5)), (1.25e-06, -0.5))
+    assert jsonable({"r": [est]}) == {"r": [{
+        "nu": 12, "big_m": 100, "big_n": 360, "double_sums": ["-49.600000000000001", "2"],
+        "projections": [{"a": "1/2", "b": "-3/7", "d": 5}, {"a": "1", "b": "0", "d": 1}],
+        "estimates": ["1.2500000000000001e-06", "-0.5"],
+    }]}
+    assert jsonable((1, F(1, 2))) == [1, "1/2"]  # a plain tuple stays a list
