@@ -7,46 +7,26 @@ quadratic Dirichlet series that estimate Petersson norms, and evaluates p(n)
 through a convergent Kloosterman-Bessel series.
 """
 
-from .arith import kronecker_symbol
-from .exactnum import PiScalar, QuadNum, Rat, bernoulli, falling_factorial, gamma_exact, rising_factorial
-from .qseries import (
-    DEFAULT_PREC,
-    IntQSeries,
-    QSeries24,
-    eta_expansion,
-    euler_expansion,
-    eta_inverse_expansion,
-    eta_product_expansion,
-    to_int_series,
-)
-from .partitions import (
-    PartitionTable,
-    partition_table,
-    pentagonal,
-    recurrence_rhs,
-    recurrence_weight,
-    sigma,
-)
-from .forms import MFSpace, cusp_generator, decompose, delta, dim_cusp, dim_modular, eisenstein, space_basis
-from .rankincohen import eta_bracket, eta_bracket_from_partitions, rankin_cohen
-from .hecke import (
-    Eigenform,
-    TraceSeries,
-    eigen_coordinates,
-    eigenform_projections,
-    eigenforms,
-    hecke_operator,
-    trace_series,
-)
-from .dirichlet import (
-    dirichlet_double_sum,
-    dirichlet_partial,
-    dirichlet_weight,
-    dirichlet_weight_float,
-    embedded_eigenforms,
-    kronecker12,
-    petersson_norm_estimate,
-)
-from .rademacher import Root24, bessel_i32, eta_multiplier, kloosterman, rademacher_pn
+from .dirichlet import petersson_norm_estimate
+from .forms import decompose, space_basis
+from .hecke import cusp_part, eigenform_projections, eigenforms, trace_series
+from .partitions import partition_table, recurrence_rhs, recurrence_weight
+from .rademacher import rademacher_pn
+from .rankincohen import eta_bracket
+
+__all__ = [
+    "eta_bracket",
+    "eigenform_projections",
+    "trace_series",
+    "partition_table",
+    "recurrence_rhs",
+    "recurrence_weight",
+    "space_basis",
+    "decompose",
+    "cusp_part",
+    "eigenforms",
+    "petersson_norm_estimate",
+    "rademacher_pn",
+]
 
 __version__ = "0.1.0"

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .arith import kronecker_symbol  # re-exported: part of this module's API
 from .errors import InternalCancellationError, PrecisionError
-from .exactnum import PiScalar, QuadNum, gamma_exact, rising_factorial
+from .exactnum import QuadNum, rising_factorial
 from .forms import dim_cusp
 from .hecke import eigen_pairs, eigenform_projections
 
@@ -91,16 +91,18 @@ def kronecker12(n: int) -> int:
     return _KRON12[n % 12]
 
 
-def dirichlet_weight(nu: int, j: int, m: int) -> PiScalar:
-    """Exact weight multiplying D(f; 2nu+1+2m+2j) in the double sum:
+def dirichlet_weight(nu: int, j: int, m: int) -> Fraction:
+    """The rational r with beta(nu, j, m) = r pi^(1-2nu), where beta is the
+    weight multiplying D(f; 2nu+1+2m+2j) in the double sum:
 
         (-1)^(j+1) Gamma(nu-1/2) Gamma(nu+1/2) / (2 sqrt(pi) Gamma(5/2))
         * (6/pi)^(2nu-1) * (2nu+m-2)! / (j! m! (2nu-j-2)!)
         * rising(nu-j-1, nu) * rising(3/2, j)
           / (rising(-1/2-j, nu) * rising(5/2, j))
 
-    The Gamma block is rational, so the result is a rational multiple of
-    pi^(1-2nu): its ``half_pi_pow`` is 2(1-2nu).
+    The Gamma block is rational, 2(2nu-2)!(2nu)! / (3 4^(2nu-1) (nu-1)! nu!),
+    from Gamma(k+1/2) = (2k)! sqrt(pi) / (4^k k!), so pi enters only
+    through (6/pi)^(2nu-1).
     """
     if nu < 2:
         raise ValueError("dirichlet_weight needs nu >= 2")
@@ -108,41 +110,29 @@ def dirichlet_weight(nu: int, j: int, m: int) -> PiScalar:
         raise ValueError(f"j must lie in [0, {nu - 2}]")
     if m < 0:
         raise ValueError("m must be >= 0")
-    half = Fraction(1, 2)
-    gammas = (
-        gamma_exact(nu - half)
-        * gamma_exact(nu + half)
-        / (2 * gamma_exact(half) * gamma_exact(Fraction(5, 2)))
-    )
-    six_over_pi = PiScalar(Fraction(6) ** (2 * nu - 1), -2 * (2 * nu - 1))
-    combinatorial = Fraction(
-        math.factorial(2 * nu + m - 2),
-        math.factorial(j) * math.factorial(m) * math.factorial(2 * nu - j - 2),
-    )
+    f = math.factorial
+    gammas = Fraction(2 * f(2 * nu - 2) * f(2 * nu), 3 * 4 ** (2 * nu - 1) * f(nu - 1) * f(nu))
+    combinatorial = Fraction(f(2 * nu + m - 2), f(j) * f(m) * f(2 * nu - j - 2))
     ratio = (
         rising_factorial(nu - j - 1, nu)
         * rising_factorial(Fraction(3, 2), j)
-        / (rising_factorial(-half - j, nu) * rising_factorial(Fraction(5, 2), j))
+        / (rising_factorial(Fraction(-1, 2) - j, nu) * rising_factorial(Fraction(5, 2), j))
     )
     sign = -1 if j % 2 == 0 else 1  # (-1)^(j+1)
-    return gammas * six_over_pi * (sign * combinatorial * ratio)
+    return gammas * 6 ** (2 * nu - 1) * (sign * combinatorial * ratio)
 
 
 def dirichlet_weight_float(nu: int, j: int, m: int, dps: int | None = None) -> float:
-    """Float value of dirichlet_weight; optional mpmath evaluation at ``dps``
-    decimal digits for wide-precision cross-checks."""
-    w = dirichlet_weight(nu, j, m)
+    """Float value of beta(nu, j, m) = dirichlet_weight(nu, j, m) pi^(1-2nu);
+    optional mpmath evaluation at ``dps`` decimal digits for wide-precision
+    cross-checks."""
+    r = dirichlet_weight(nu, j, m)
     if dps is None:
-        return float(w)
+        return float(r) * math.pi ** (1 - 2 * nu)
     import mpmath
 
     with mpmath.workdps(dps):
-        value = (
-            mpmath.mpf(w.coeff.numerator)
-            / w.coeff.denominator
-            * mpmath.pi ** (mpmath.mpf(w.half_pi_pow) / 2)
-        )
-        return float(value)
+        return float(mpmath.mpf(r.numerator) / r.denominator * mpmath.pi ** mpmath.mpf(1 - 2 * nu))
 
 
 def _neumaier_sum(values) -> float:
@@ -223,19 +213,19 @@ def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float],
     exact = []
     for j in range(nu - 1):
         first = dirichlet_weight(nu, j, 0)
-        num, den = first.coeff.numerator, first.coeff.denominator
+        num, den = first.numerator, first.denominator
         binom = 1
         for m in range(M + 1):
             if m:
                 binom = binom * (2 * nu + m - 2) // m
             exact.append((2 * nu + 1 + 2 * m + 2 * j, num * binom, den))
     if dps is None:
-        scale = math.pi ** (first.half_pi_pow / 2)
+        scale = math.pi ** (1 - 2 * nu)
         return tuple((s, c / d * scale) for s, c, d in exact)
     import mpmath
 
     with mpmath.workdps(dps):
-        scale = mpmath.pi ** (mpmath.mpf(first.half_pi_pow) / 2)
+        scale = mpmath.pi ** mpmath.mpf(1 - 2 * nu)
         out = []
         for s, c, d in exact:
             c = Fraction(c, d)  # reduced, as dirichlet_weight_float converts it

@@ -1,12 +1,11 @@
 """Exact scalar arithmetic.
 
-Rationals are plain ``fractions.Fraction`` (re-exported as ``Rat``); on top of
-that this module provides Bernoulli numbers under the B_1 = -1/2 convention
-(from one integer table of tangent numbers), falling/rising factorials
-including the negative-index falling factorial (x)_m := 1/(x)_{-m} for
-m <= -1, exact Gamma values at integers and half-integers tracked as
-rational multiples of pi^(h/2), arithmetic in a real quadratic field
-Q(sqrt(d)), and the one exact linear solver, generic over those fields.
+Rationals are plain ``fractions.Fraction``; on top of that this module
+provides Bernoulli numbers under the B_1 = -1/2 convention (from one
+integer table of tangent numbers), falling/rising factorials including the
+negative-index falling factorial (x)_m := 1/(x)_{-m} for m <= -1,
+arithmetic in a real quadratic field Q(sqrt(d)), and the one exact linear
+solver, generic over those fields.
 
 All values are immutable; all operations are pure functions.
 """
@@ -17,18 +16,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import GammaPoleError, InternalCancellationError, UnsupportedHeckeFieldError
-
-Rat = Fraction
+from .errors import InternalCancellationError, UnsupportedHeckeFieldError
 
 __all__ = [
-    "Rat",
-    "PiScalar",
     "QuadNum",
     "bernoulli",
     "falling_factorial",
     "rising_factorial",
-    "gamma_exact",
     "rref",
     "solve",
     "squarefree_split",
@@ -99,59 +93,6 @@ def rising_factorial(x: Fraction | int, j: int) -> Fraction:
     for i in range(j):
         out *= x + i
     return out
-
-
-class PiScalar:
-    """Exact scalar of the form coeff * pi^(half_pi_pow / 2).
-
-    Canonical zero has half_pi_pow = 0.  Products and quotients add and
-    subtract the half powers; addition is intentionally unsupported because
-    mixed pi-powers do not stay in this class.
-    """
-
-    __slots__ = ("coeff", "half_pi_pow")
-
-    def __init__(self, coeff: Fraction | int, half_pi_pow: int = 0):
-        coeff = Fraction(coeff)
-        self.coeff = coeff
-        self.half_pi_pow = 0 if coeff == 0 else int(half_pi_pow)
-
-    def __mul__(self, other):
-        if isinstance(other, PiScalar):
-            return PiScalar(self.coeff * other.coeff, self.half_pi_pow + other.half_pi_pow)
-        if isinstance(other, (int, Fraction)):
-            return PiScalar(self.coeff * other, self.half_pi_pow)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiScalar):
-            if other.coeff == 0:
-                raise ZeroDivisionError("division by zero PiScalar")
-            return PiScalar(self.coeff / other.coeff, self.half_pi_pow - other.half_pi_pow)
-        if isinstance(other, (int, Fraction)):
-            return PiScalar(self.coeff / other, self.half_pi_pow)
-        return NotImplemented
-
-    def __neg__(self):
-        return PiScalar(-self.coeff, self.half_pi_pow)
-
-    def __eq__(self, other):
-        if isinstance(other, PiScalar):
-            return self.coeff == other.coeff and self.half_pi_pow == other.half_pi_pow
-        if isinstance(other, (int, Fraction)):
-            return self == PiScalar(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeff, self.half_pi_pow))
-
-    def __float__(self):
-        return float(self.coeff) * math.pi ** (self.half_pi_pow / 2)
-
-    def __repr__(self):
-        return f"PiScalar({self.coeff!r}, half_pi_pow={self.half_pi_pow})"
 
 
 @lru_cache(maxsize=32)
@@ -298,32 +239,6 @@ class QuadNum:
         if self.b == 0:
             return f"QuadNum({self.a})"
         return f"QuadNum({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def gamma_exact(x: Fraction | int) -> PiScalar:
-    """Exact Gamma at integers and half-integers.
-
-    Gamma(n) = (n-1)! for n >= 1; Gamma(n + 1/2) = (2n)!/(4^n n!) * sqrt(pi);
-    negative half-odd-integers are reached through Gamma(x) = Gamma(x+1)/x.
-    Nonpositive integers raise GammaPoleError.
-    """
-    x = Fraction(x)
-    if x.denominator == 1:
-        n = x.numerator
-        if n <= 0:
-            raise GammaPoleError(f"Gamma pole at {n}")
-        return PiScalar(math.factorial(n - 1), 0)
-    if x.denominator != 2:
-        raise ValueError("gamma_exact is defined for half-integers only")
-    k = int(x - Fraction(1, 2))
-    if x > 0:
-        # x = k + 1/2 with k >= 0
-        coeff = Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
-        return PiScalar(coeff, 1)
-    # negative half-odd-integer: climb to 1/2
-    steps = -k
-    denom = rising_factorial(x, steps)
-    return PiScalar(Fraction(1) / denom, 1)
 
 
 def rref(rows: list[list]) -> list[list]:

@@ -65,9 +65,6 @@ class PartitionTable(NamedTuple):
             return 0
         return self.values[n]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 4 n_max
 def partition_table(n_max: int) -> PartitionTable:
@@ -156,7 +153,7 @@ def pentagonal_numerator_sum(weights: tuple[int, ...], n: int, ptable: Partition
     of ``bracket_weights``: the recurrence's pentagonal walk, in integers."""
     acc = 0
     # one walk, to the table's end, serves every n of a table
-    for k, w in pentagonal_terms(len(ptable) - 1):
+    for k, w in pentagonal_terms(len(ptable.values) - 1):
         if w > n:
             break
         sign = 1 if k % 2 else -1
@@ -176,7 +173,7 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
         raise ValueError("recurrence_rhs needs nu >= 2")
     if n < 1:
         raise ValueError("recurrence_rhs needs n >= 1")
-    if len(ptable) <= n:
+    if len(ptable.values) <= n:
         raise ValueError("partition table does not cover n")
     weights, factor = bracket_weights(nu)
     w0 = _weight_numerator(weights, n, 0)

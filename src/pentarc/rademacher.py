@@ -63,36 +63,15 @@ MAX_DEPTH_C = 1000
 MAX_N = int(((6 / math.pi * (math.log(sys.float_info.max) + math.log(2))) ** 2 + 1) / 24)
 
 
-class Root24:
-    """sign * exp(pi i e / 12): an exact sign times a 24th root of unity."""
+class Root24(NamedTuple):
+    """sign * exp(pi i e / 12): an exact sign +-1 times a 24th root of unity,
+    with e in 0..23."""
 
-    __slots__ = ("sign", "e")
-
-    def __init__(self, sign: int, e: int):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        self.sign = sign
-        self.e = e % 24
-
-    def __mul__(self, other: "Root24") -> "Root24":
-        return Root24(self.sign * other.sign, self.e + other.e)
-
-    def conjugate(self) -> "Root24":
-        return Root24(self.sign, -self.e)
+    sign: int
+    e: int
 
     def value(self) -> complex:
         return self.sign * cmath.exp(1j * math.pi * self.e / 12)
-
-    def __eq__(self, other):
-        if not isinstance(other, Root24):
-            return NotImplemented
-        return self.sign == other.sign and self.e == other.e
-
-    def __hash__(self):
-        return hash((self.sign, self.e))
-
-    def __repr__(self):
-        return f"Root24({'+' if self.sign > 0 else '-'}1, e={self.e})"
 
 
 def eta_multiplier(a: int, b: int, c: int, d: int) -> Root24:

@@ -27,6 +27,66 @@ from pentarc.exactnum import QuadNum
 from pentarc.forms import _monomial_exponents, delta
 from pentarc.hecke import eigen_coordinates, eigenform_projections, eigenforms
 
+#: dirichlet_weight(nu, j, 0) for j = 0..nu-2, as the Gamma-function
+#: products of the earlier pi-power scalar class computed them
+WEIGHT_RATIONALS = {
+    2: (
+        432,
+    ),
+    6: (
+        11879517500928000,
+        85532526006681600,
+        128298789010022400,
+        47518070003712000,
+        3239868409344000,
+    ),
+    12: (
+        25180819800733235605053951710676910080000,
+        1057594431630795895412265971848430223360000,
+        12917760557776149865392677227577254871040000,
+        65067238365094680803459411220389135646720000,
+        155274091553066851917346322230474073702400000,
+        186328909863680222300815586676568888442880000,
+        113867667138915691406053969635680987381760000,
+        34447361487403066307713805940206012989440000,
+        4759174942338581529355196873317936005120000,
+        251808198007332356050539517106769100800000,
+        3284454756617378557180950223131770880000,
+    ),
+}
+
+#: float.hex of every _float_weights(nu, M, dps) weight, in summation order
+FLOAT_WEIGHT_HEX = {
+    (6, 4, None): (
+        "0x1.2cd7e1626d4abp+35", "0x1.9da8d5e75646bp+38", "0x1.363ea06d80b50p+41", "0x1.50192dcbf6197p+43",
+        "0x1.2616081277564p+45", "0x1.0ec24ad895900p+38", "0x1.744b26e9cda60p+41", "0x1.17385d2f5a3c8p+44",
+        "0x1.2e7d0f9df716ep+46", "0x1.08ad6daa38340p+48", "0x1.96237044e0580p+38", "0x1.17385d2f5a3c8p+42",
+        "0x1.a2d48bc7075acp+44", "0x1.c5bb976cf2a25p+46", "0x1.8d04247f544e0p+48", "0x1.2cd7e1626d4abp+37",
+        "0x1.9da8d5e75646bp+40", "0x1.363ea06d80b50p+43", "0x1.50192dcbf6197p+45", "0x1.2616081277564p+47",
+        "0x1.483152f702dd1p+33", "0x1.c343d213a3f00p+36", "0x1.5272dd8ebaf40p+39", "0x1.6ea71aaff5330p+41",
+        "0x1.40d23759f68cap+43",
+    ),
+    (12, 3, None): (
+        "0x1.2b3701cf76957p+96", "0x1.ae1f129a3a76dp+100", "0x1.42974df3abd92p+104", "0x1.500846887dacdp+107",
+        "0x1.88b832604ba43p+101", "0x1.1a446435365dfp+106", "0x1.a766964fd18cfp+109", "0x1.b90adc9324f2dp+112",
+        "0x1.2bcc9d505e50cp+105", "0x1.aef6222387941p+109", "0x1.4338999aa5af1p+113", "0x1.50b04aabc1ebap+116",
+        "0x1.79866748c29e9p+107", "0x1.0f589a3c4be1fp+112", "0x1.9704e75a71d2ep+115", "0x1.a7fa70fe36911p+118",
+        "0x1.c274bb3ca265ep+108", "0x1.43c3e69394b94p+113", "0x1.e5a5d9dd5f15ep+116", "0x1.f9e2184698616p+119",
+        "0x1.0e4609f12e3d2p+109", "0x1.8484ae4ab277ep+113", "0x1.236382b805d9fp+117", "0x1.2f87a82a5b6dap+120",
+        "0x1.4a559a5faa4abp+108", "0x1.dadb0de984cb7p+112", "0x1.64244a6f23989p+116", "0x1.72fb22de6fbefp+119",
+        "0x1.8fbb7c6b286bap+106", "0x1.1f4ec16d050d5p+111", "0x1.aef6222387941p+114", "0x1.c0eb0e3a57e4ep+117",
+        "0x1.b9cf38ac5518ap+103", "0x1.3d8cf0bbdd29cp+108", "0x1.dc536919cbbe9p+111", "0x1.f02c382589913p+114",
+        "0x1.7604c243543adp+99", "0x1.0cd36ba0648a4p+104", "0x1.933d217096cf6p+107", "0x1.a40a582a9d180p+110",
+        "0x1.3839661022b23p+93", "0x1.c0d282b731e02p+97", "0x1.509de20965682p+101", "0x1.5ea4761f1ef71p+104",
+    ),
+    (6, 2, 30): (
+        "0x1.2cd7e1626d4a8p+35", "0x1.9da8d5e756467p+38", "0x1.363ea06d80b4dp+41", "0x1.0ec24ad8958fep+38",
+        "0x1.744b26e9cda5dp+41", "0x1.17385d2f5a3c6p+44", "0x1.96237044e057dp+38", "0x1.17385d2f5a3c6p+42",
+        "0x1.a2d48bc7075a8p+44", "0x1.2cd7e1626d4a8p+37", "0x1.9da8d5e756467p+40", "0x1.363ea06d80b4dp+43",
+        "0x1.483152f702dcfp+33", "0x1.c343d213a3efcp+36", "0x1.5272dd8ebaf3dp+39",
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def delta_table_2000():
@@ -63,24 +123,8 @@ def test_kronecker_symbol_classics():
     assert kronecker_symbol(6, 3) == 0
 
 
-def test_weight_pi_power():
-    for nu in (2, 6, 9):
-        w = dirichlet_weight(nu, 0, 0)
-        assert w.half_pi_pow == 2 * (1 - 2 * nu)
-    assert dirichlet_weight(6, 0, 0).half_pi_pow == -22
-
-
-def test_weight_domain():
-    with pytest.raises(ValueError):
-        dirichlet_weight(6, 5, 0)  # j must be <= nu - 2
-    with pytest.raises(ValueError):
-        dirichlet_weight(6, 0, -1)
-    with pytest.raises(ValueError):
-        dirichlet_weight(1, 0, 0)
-
-
 def _weight_mpmath(nu, j, m):
-    """Independent high-precision Gamma evaluation of the weight."""
+    """Independent 40-digit Gamma evaluation of the weight, as an mpf."""
     with mpmath.workdps(40):
         g = mpmath.gamma
         val = (
@@ -95,15 +139,46 @@ def _weight_mpmath(nu, j, m):
             * mpmath.rf(mpmath.mpf(3) / 2, j)
             / (mpmath.rf(mpmath.mpf(-1) / 2 - j, nu) * mpmath.rf(mpmath.mpf(5) / 2, j))
         )
-        return float(val)
+        return val
+
+
+def test_weight_pi_power():
+    """The weight is the rational dirichlet_weight times pi^(1-2nu): at 40
+    digits that product matches the Gamma-function oracle to 30."""
+    for nu in (2, 6, 9):
+        for j in range(nu - 1):
+            r = dirichlet_weight(nu, j, 3)
+            assert isinstance(r, Fraction)
+            with mpmath.workdps(40):
+                mine = mpmath.mpf(r.numerator) / r.denominator * mpmath.pi ** (1 - 2 * nu)
+                assert mpmath.almosteq(mine, _weight_mpmath(nu, j, 3), rel_eps=mpmath.mpf(10) ** -30), (nu, j)
+
+
+def test_weight_rationals_pinned():
+    for nu, want in WEIGHT_RATIONALS.items():
+        assert tuple(dirichlet_weight(nu, j, 0) for j in range(nu - 1)) == want, nu
+
+
+@pytest.mark.parametrize("key", FLOAT_WEIGHT_HEX, ids=str)
+def test_float_weights_pinned(key):
+    assert tuple(w.hex() for _, w in _float_weights(*key)) == FLOAT_WEIGHT_HEX[key]
+
+
+def test_weight_domain():
+    with pytest.raises(ValueError):
+        dirichlet_weight(6, 5, 0)  # j must be <= nu - 2
+    with pytest.raises(ValueError):
+        dirichlet_weight(6, 0, -1)
+    with pytest.raises(ValueError):
+        dirichlet_weight(1, 0, 0)
 
 
 def test_weight_against_gamma_oracle():
     for nu in range(2, 9):
         for j in range(nu - 1):
             for m in (0, 1, 5):
-                mine = float(dirichlet_weight(nu, j, m))
-                oracle = _weight_mpmath(nu, j, m)
+                mine = dirichlet_weight_float(nu, j, m)
+                oracle = float(_weight_mpmath(nu, j, m))
                 assert mine == pytest.approx(oracle, rel=1e-12), (nu, j, m)
 
 

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentarc import exactnum
-from pentarc.errors import GammaPoleError, InternalCancellationError, UnsupportedHeckeFieldError
+from pentarc.errors import InternalCancellationError, UnsupportedHeckeFieldError
 from pentarc.exactnum import (
-    PiScalar,
     QuadNum,
     bernoulli,
     falling_factorial,
-    gamma_exact,
     rising_factorial,
     rref,
     solve,
@@ -126,38 +124,6 @@ def test_rising_vs_falling():
         x = F(rng.randrange(-30, 30), rng.randrange(1, 7))
         j = rng.randrange(0, 11)
         assert rising_factorial(x, j) == (-1) ** j * falling_factorial(-x, j)
-
-
-def test_gamma_examples():
-    assert gamma_exact(F(1, 2)) == PiScalar(1, 1)
-    assert gamma_exact(F(5, 2)) == PiScalar(F(3, 4), 1)
-    assert gamma_exact(4) == PiScalar(6, 0)
-    assert gamma_exact(F(-1, 2)) == PiScalar(-2, 1)
-
-
-def test_gamma_recursion():
-    x = F(1, 2)
-    while x <= 20:
-        lhs = gamma_exact(x + 1)
-        rhs = gamma_exact(x) * x
-        assert lhs == rhs, x
-        x += F(1, 2)
-
-
-def test_gamma_poles():
-    for bad in (0, -1, -5):
-        with pytest.raises(GammaPoleError):
-            gamma_exact(bad)
-
-
-def test_pi_scalar_canonical_zero_and_arith():
-    z = PiScalar(0, 7)
-    assert z.half_pi_pow == 0
-    a = PiScalar(F(3, 4), 1)
-    b = PiScalar(F(2, 3), -3)
-    assert (a * b).half_pi_pow == -2
-    assert (a / b) == PiScalar(F(9, 8), 4)
-    assert float(PiScalar(2, 2)) == pytest.approx(2 * 3.141592653589793)
 
 
 def test_quadnum_norm_is_rational():

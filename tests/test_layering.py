@@ -41,10 +41,7 @@ LAYERS = {
         "dirichlet", "errors", "forms", "hecke", "partitions", "qseries", "rademacher",
         "rankincohen", "serialize", "verify",
     },
-    "__init__": {
-        "arith", "dirichlet", "exactnum", "forms", "hecke", "partitions", "qseries",
-        "rademacher", "rankincohen",
-    },
+    "__init__": {"dirichlet", "forms", "hecke", "partitions", "rademacher", "rankincohen"},
 }
 
 

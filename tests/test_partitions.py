@@ -7,6 +7,7 @@ from pentarc.forms import dim_cusp
 from pentarc.hecke import trace_series
 from pentarc.exactnum import falling_factorial
 from pentarc.partitions import (
+    PartitionTable,
     bracket_weights,
     partition_table,
     pentagonal,
@@ -42,6 +43,17 @@ def test_partition_table_values():
     assert t.p(10) == 42
     assert partition_table(100).p(100) == 190569292
     assert t.p(-3) == 0
+
+
+def test_partition_table_record_helpers():
+    """A table is a one-field record, so the NamedTuple helpers work on it."""
+    t = partition_table(10)
+    assert len(t) == 1
+    short = t._replace(values=(1, 1, 2))
+    assert short.values == (1, 1, 2) and short.p(2) == 2
+    assert PartitionTable._make([t.values]) == t
+    with pytest.raises(ValueError, match="does not cover"):
+        recurrence_rhs(6, 3, F(0), short)
 
 
 def test_partition_table_vs_series_inverse():

@@ -1,13 +1,16 @@
 """README's examples run as written: the library example prints what its
-comments say, and every ``pentarc`` line of the CLI example exits 0."""
+comments say, every ``pentarc`` line of the CLI example exits 0, and the
+public API it lists is ``pentarc.__all__``."""
 
 import contextlib
 import io
 import pathlib
+import re
 import shlex
 
 import pytest
 
+import pentarc
 from pentarc.cli import main
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -24,6 +27,21 @@ CLI_REQUESTS = [
     for line in code_block("CLI", "sh").splitlines()
     if line.startswith("pentarc ")
 ]
+
+
+def readme_api() -> list[str]:
+    """The names of the ``* `name(...)` `` bullets in README's Library example."""
+    section = README.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\* `(\w+)\(", section, flags=re.MULTILINE)
+
+
+def test_public_api_is_the_readme_list():
+    assert pentarc.__all__ == readme_api()
+    assert all(callable(getattr(pentarc, name)) for name in pentarc.__all__)
+    namespace: dict = {}
+    exec("from pentarc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(pentarc.__all__)
 
 
 def test_library_example_prints_its_comments():

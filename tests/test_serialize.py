@@ -1,16 +1,16 @@
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+import pytest
+
 from pentarc.dirichlet import NormEstimate
-from pentarc.exactnum import PiScalar, QuadNum
+from pentarc.exactnum import QuadNum
 from pentarc.qseries import IntQSeries, QSeries24
 from pentarc.rademacher import KloostermanSum, RademacherEstimate
 from pentarc.serialize import (
     float_str,
     int_series_dict,
     jsonable,
-    piscalar_dict,
-    qseries_dict,
     quadnum_dict,
     rat_str,
 )
@@ -33,33 +33,11 @@ def test_quadnum_wire_format():
     assert quadnum_dict(z) == {"a": "1/2", "b": "-3/7", "d": 144169}
 
 
-def test_piscalar_wire_format():
-    assert piscalar_dict(PiScalar(F(3, 4), -22)) == {"coeff": "3/4", "halfPiPow": -22}
-
-
 def test_series_wire_formats():
-    s = QSeries24(-1, [F(1), F(0), F(1, 2)])
-    assert qseries_dict(s) == {"offset24": -1, "prec24": 2, "coeffs": ["1", "0", "1/2"]}
     t = IntQSeries(1, [1, -24])
     assert int_series_dict(t) == {"offset": 1, "prec": 3, "coeffs": ["1", "-24"]}
-
-
-def test_jsonable_recurses_dataclasses():
-    @dataclass(frozen=True)
-    class Record:
-        name: str
-        value: F
-        items: tuple
-
-    rec = Record("x", F(2, 3), (QuadNum(1, 2, 5), 1.5))
-    out = jsonable({"rec": rec})
-    assert out == {
-        "rec": {
-            "name": "x",
-            "value": "2/3",
-            "items": [{"a": "1", "b": "2", "d": 5}, "1.5"],
-        }
-    }
+    half = IntQSeries(0, [F(1), F(0), F(1, 2)])
+    assert jsonable(half) == {"offset": 0, "prec": 3, "coeffs": ["1", "0", "1/2"]}
 
 
 def test_jsonable_maps_records_to_dicts():
@@ -68,7 +46,8 @@ def test_jsonable_maps_records_to_dicts():
         "estimate": "6.9999999999999982", "nearest": 7, "gap": "1.7763568394002505e-15", "imag": "0",
         "depth": 3,
     }
-    assert jsonable(KloostermanSum(2, 1.5 - 0.25j, 1)) == {"c": 2, "value": 1.5 - 0.25j, "term_count": 1}
+    with pytest.raises(TypeError, match="complex"):  # the CLI never emits a Kloosterman sum
+        jsonable(KloostermanSum(2, 1.5 - 0.25j, 1))
     est = NormEstimate(12, 100, 360, (-49.6, 2.0), (QuadNum(F(1, 2), F(-3, 7), 5), QuadNum(1, 0, 5)), (1.25e-06, -0.5))
     assert jsonable({"r": [est]}) == {"r": [{
         "nu": 12, "big_m": 100, "big_n": 360, "double_sums": ["-49.600000000000001", "2"],
@@ -76,3 +55,20 @@ def test_jsonable_maps_records_to_dicts():
         "estimates": ["1.2500000000000001e-06", "-0.5"],
     }]}
     assert jsonable((1, F(1, 2))) == [1, "1/2"]  # a plain tuple stays a list
+
+
+@dataclass(frozen=True)
+class _Record:
+    name: str
+
+
+@pytest.mark.parametrize(
+    "leaf, name",
+    [(QSeries24(-1, [F(1), F(0), F(1, 2)]), "QSeries24"), (_Record("x"), "_Record"), ({1, 2}, "set")],
+    ids=["QSeries24", "dataclass", "set"],
+)
+def test_jsonable_rejects_what_the_cli_never_emits(leaf, name):
+    """Only what the CLI emits converts; any other leaf, however deep, raises
+    TypeError naming its type instead of reaching json.dumps unconverted."""
+    with pytest.raises(TypeError, match=f"cannot convert a {name}$"):
+        jsonable({"r": [(1, leaf)]})
