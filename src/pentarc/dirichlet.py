@@ -33,11 +33,15 @@ against it, and each coefficient is rounded to a float once.
 
 Summation is j-outer, m-inner, n-innermost, with Neumaier-compensated
 accumulation so results reproduce across platforms to >= 12 digits.  The
-double sum meets only M + nu - 1 distinct exponents s, so each partial sum
-D(f, N; s) is evaluated once and reused for every (j, m) that needs it; it
-stops at the first n whose n^(-s) underflows to 0.0, since every later term
-is 0.0 and leaves the sum's bits alone.  The float weights of a
-(nu, M, dps) are computed once and shared by all its eigenforms.
+partial sums form a table: D(f, N; s) is binary64 whatever M and the
+weights' precision, so each is summed once per (eigenform, N, s), kept on
+the eigenform (``EmbeddedEigenform.partials``) and read for every (j, m),
+M and float mode that needs it; a warm pass evaluates no Dirichlet partial
+sum.  The double sum meets only M + nu - 1 distinct exponents s, and each
+partial sum stops at the first n whose n^(-s) underflows to 0.0, since
+every later term is 0.0 and leaves the sum's bits alone.  The float
+weights of a (nu, M, dps) are computed once and shared by all its
+eigenforms.
 """
 
 from __future__ import annotations
@@ -148,14 +152,10 @@ def _neumaier_sum(values) -> float:
     return total + comp
 
 
-def _twisted_terms(f, N: int, s_min: int) -> list[tuple[float, float]]:
+def _twisted_terms(f, N: int) -> list[tuple[float, float]]:
     """The nonzero terms (chi(n) a_f((n^2-1)/24), n) for 1 <= n <= N, in n
-    order, for exponents s >= s_min.  Zero terms leave a Neumaier sum as it
-    is, so dropping them changes no bit of it."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if s_min < f.weight + 1:
-        raise ValueError(f"s = {s_min} below absolute-convergence bound {f.weight + 1}")
+    order.  Zero terms leave a Neumaier sum as it is, so dropping them
+    changes no bit of it."""
     terms = []
     for n in range(1, N + 1):
         chi = kronecker12(n)
@@ -193,13 +193,33 @@ def _partial_sum(terms: list[tuple[float, float]], s: int) -> float:
     return total + comp
 
 
+def _partial_table(f, N: int, exponents: range) -> dict[int, float]:
+    """f's partial sums D(f, N; s) by s, the missing ones of ``exponents``
+    summed in.  The table is ``f.partials[N]``, so it lives and dies with
+    the eigenform; an ``f`` without one, such as a ``hecke.Eigenform``, gets
+    a fresh dict.  The domain is checked from ``exponents.start``, the
+    smallest s, on every call, whether the table holds the sums or not."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if exponents.start < f.weight + 1:
+        raise ValueError(f"s = {exponents.start} below absolute-convergence bound {f.weight + 1}")
+    tables = getattr(f, "partials", None)
+    sums = {} if tables is None else tables.setdefault(N, {})
+    missing = [s for s in exponents if s not in sums]
+    if missing:
+        terms = _twisted_terms(f, N)
+        for s in missing:
+            sums[s] = _partial_sum(terms, s)
+    return sums
+
+
 def dirichlet_partial(f, N: int, s: int) -> float:
-    """Partial sum of the twisted series over 1 <= n <= N.
+    """Partial sum of the twisted series over 1 <= n <= N, from f's table.
 
     ``f`` needs ``weight`` and ``a_float(m)``; coefficients must reach
     (N^2-1)/24.  Requires s >= weight + 1 (absolute convergence).
     """
-    return _partial_sum(_twisted_terms(f, N, s), s)
+    return _partial_table(f, N, range(s, s + 1))[s]
 
 
 @lru_cache(maxsize=8)
@@ -239,32 +259,28 @@ def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> 
     ``dps`` switches the weight evaluation to mpmath at that many decimal
     digits (the optional wide-float mode); the partial sums stay binary64.
     The float weights are shared by every eigenform of a (nu, M, dps), and
-    each distinct exponent's partial sum is computed once; both give the
-    same float as calling dirichlet_partial and dirichlet_weight_float for
-    every (j, m).
+    the partial sums of its M + nu - 1 distinct exponents are read from f's
+    table, which sums only those it lacks; both give the same float as
+    calling dirichlet_partial and dirichlet_weight_float for every (j, m).
     """
     if M < 0:
         raise ValueError("M must be >= 0")
-    terms = _twisted_terms(f, N, 2 * nu + 1)
-    partials: dict[int, float] = {}
-    products = []
-    for s, weight in _float_weights(nu, M, dps):
-        partial = partials.get(s)
-        if partial is None:
-            partial = partials[s] = _partial_sum(terms, s)
-        products.append(weight * partial)
-    return _neumaier_sum(products)
+    sums = _partial_table(f, N, range(2 * nu + 1, 2 * nu + 1 + 2 * (M + nu - 1), 2))
+    return _neumaier_sum([weight * sums[s] for s, weight in _float_weights(nu, M, dps)])
 
 
 class EmbeddedEigenform:
-    """Real-embedded eigenform coefficients backed by the exact Delta E4^a E6^b lattice rows."""
+    """Real-embedded eigenform coefficients backed by the exact Delta E4^a E6^b
+    lattice rows, and the table of its Dirichlet partial sums:
+    ``partials[N][s]`` is D(f, N; s)."""
 
-    __slots__ = ("weight", "disc", "_table")
+    __slots__ = ("weight", "disc", "_table", "partials")
 
     def __init__(self, weight: int, disc: int, table):
         self.weight = weight
         self.disc = disc
         self._table = table
+        self.partials: dict[int, dict[int, float]] = {}
 
     def a_float(self, m: int) -> float:
         try:

@@ -882,3 +882,20 @@ def test_flags_do_not_leak_between_requests(tmp_path):
     assert request("dirichlet", "6")["big_n"] == 2000
     assert request("--prec", "30", "pnu", "6")["results"]["prec"] == 30
     assert request("pnu", "6")["results"]["prec"] == 60
+
+
+def test_requests_sharing_partial_sums_print_what_fresh_processes_print(capsys):
+    """A request that reads Dirichlet partial sums an earlier one summed, at
+    another M or float mode, prints what it prints alone in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pentarc.__file__)))
+
+    def without_timings(out):
+        data = json.loads(out)
+        data.pop("timings")
+        return data
+
+    for argv in (["dirichlet", "6"], ["--big-m", "50", "dirichlet", "6"], ["--float-mode", "wide:30", "dirichlet", "6"]):
+        code, out = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "pentarc.cli", *argv], env=env, capture_output=True, text=True)
+        assert (code, without_timings(out)) == (fresh.returncode, without_timings(fresh.stdout)), argv
+        assert fresh.stderr == ""

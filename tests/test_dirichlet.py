@@ -1,3 +1,5 @@
+import gc
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -6,9 +8,11 @@ from math import gcd
 import mpmath
 import pytest
 
+from pentarc import dirichlet as dmod
 from pentarc._coeffs import cusp_monomial_coeffs
 from pentarc.dirichlet import (
     DEFAULT_BIG_M,
+    EmbeddedEigenform,
     _coprime_split,
     _float_weights,
     _half_product,
@@ -428,3 +432,79 @@ def test_norm_estimates_other_weights_positive_and_stable():
     coarse = petersson_norm_estimate(13, N=360).estimates[0]
     finer = petersson_norm_estimate(13, N=500).estimates[0]
     assert finer == pytest.approx(coarse, rel=1e-4)
+
+
+def _fresh(nu, N):
+    """The embedded eigenforms of (nu, N), each with an empty partial-sum table."""
+    return [EmbeddedEigenform(f.weight, f.disc, f._table) for f in embedded_eigenforms(nu, N)]
+
+
+def test_partial_table_serves_every_m_dps_and_n_bit_for_bit():
+    for nu, N in ((6, 120), (12, 80)):
+        for f in _fresh(nu, N):
+            dirichlet_double_sum(f, nu, 100, N)
+            for M, n, dps in ((0, N, None), (3, N, None), (50, N, None), (200, N, None), (100, N, 30), (100, 47, None)):
+                got = dirichlet_double_sum(f, nu, M, n, dps)
+                assert got.hex() == _double_sum_reference(f, nu, M, n, dps).hex(), (nu, M, n, dps)
+
+
+def test_partial_table_still_checks_the_domain():
+    (f,) = _fresh(6, 60)
+    dirichlet_double_sum(f, 6, 3, 60)
+    assert dirichlet_partial(f, 60, 13) == f.partials[60][13]
+    with pytest.raises(ValueError, match="s = 12 below absolute-convergence bound 13"):
+        dirichlet_partial(f, 60, 12)
+    with pytest.raises(ValueError, match="s = 11 below absolute-convergence bound 13"):
+        dirichlet_double_sum(f, 5, 3, 60)  # a smaller nu starts below the bound
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        dirichlet_partial(f, 0, 13)
+    assert list(f.partials) == [60] and sorted(f.partials[60]) == list(range(13, 29, 2))
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Calls of _twisted_terms and _partial_sum, counted from the fixture on."""
+    counts = dict.fromkeys(("_twisted_terms", "_partial_sum"), 0)
+    for name in counts:
+
+        def counted(*args, _name=name, _real=getattr(dmod, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(dmod, name, counted)
+    return counts
+
+
+def test_warm_double_sums_sum_no_series(work_counts):
+    none = dict.fromkeys(work_counts, 0)
+    first = petersson_norm_estimate(6)
+    work_counts.update(none)
+    assert petersson_norm_estimate(6) == first
+    assert work_counts == none
+    petersson_norm_estimate(6, dps=30)  # the weights change, the partial sums do not
+    assert work_counts == none
+    (f,) = _fresh(6, 200)
+    dirichlet_double_sum(f, 6, 100, 200)
+    assert work_counts == {"_twisted_terms": 1, "_partial_sum": 105}
+    work_counts.update(none)
+    dirichlet_double_sum(f, 6, 200, 200)  # only the 100 new exponents
+    assert work_counts == {"_twisted_terms": 1, "_partial_sum": 100}
+
+
+def test_partial_tables_live_and_die_with_their_eigenforms():
+    embedded_eigenforms.cache_clear()
+    for f in embedded_eigenforms(12, 41):
+        asked = set()
+        for M, N in ((3, 41), (5, 41), (3, 30)):
+            dirichlet_double_sum(f, 12, M, N)
+            asked |= {(N, s) for s, _ in _float_weights(12, M, None)}
+        for N, s in ((41, 25), (20, 101)):
+            dirichlet_partial(f, N, s)
+            asked.add((N, s))
+        # one entry per distinct (N, s) asked for, and the eigenform its only holder
+        assert sorted((N, s) for N, sums in f.partials.items() for s in sums) == sorted(asked)
+        assert [r for r in gc.get_referrers(f.partials) if not inspect.isframe(r)] == [f]
+    del f
+    embedded_eigenforms.cache_clear()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, EmbeddedEigenform) and 41 in o.partials]
