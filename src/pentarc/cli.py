@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: partition, pnu, gpoly, trace, eigenforms, dirichlet, rademacher,
-verify.  JSON is the canonical output format (exact rationals as strings,
+Subcommands: the keys of ``COMMANDS``, in help order; each entry also holds the
+command's help line, its handler, and its arguments with their argparse keywords
+and domains.  JSON is the canonical output format (exact rationals as strings,
 floats as 17-significant-digit strings); csv and text are flattened views.
 Every record echoes the RunConfig that produced it; timing lives in its own
 "timings" key so the rest of the output is byte-deterministic.
@@ -16,6 +17,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -77,31 +79,18 @@ def _parse_float_mode(mode: str) -> int | None:
     except ValueError:  # int() refuses strings of over 4300 digits
         pass
     raise ValueError("--float-mode must be binary64 or wide:<dps> with integer dps in %d..%d, got %r"
-                     % (*DOMAINS["settings"]["dps"], mode))
+                     % (*SETTINGS["dps"], mode))
 
 
 #: each RunConfig field's type, read once: ``get_type_hints`` takes about 0.1 ms a call
 _FIELD_TYPES = get_type_hints(RunConfig)
 _TRACE_NU, _DEPTH_C = (2, MAX_NU), (1, rademacher.MAX_DEPTH_C)
-#: the domain lo..hi of every integer a request reads: the run settings whatever the command ("dps"
-#: that of ``--float-mode wide:<dps>``, below which mpmath is coarser than binary64; ``big_n`` may
-#: also be None), then each command's arguments, partition's by --method kind ("--method NU": NU of
-#: ``trace:NU``, whose domain is trace nu's as C's is --depth-c's).  A range lies in its domain at
-#: both ends; a third entry caps how many values it holds
-DOMAINS = {
-    "settings": {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (1, dmod.MAX_BIG_N),
-                 "depth_c": _DEPTH_C, "dps": (15, MAX_DPS)},
-    "partition euler": {"n": (0, MAX_PARTITION_N)},
-    "partition trace": {"--method NU": _TRACE_NU, "n": (1, MAX_TRACE_N)},
-    "partition rademacher": {"--method C": _DEPTH_C, "n": (1, rademacher.MAX_N)},
-    "pnu": {"nu": (0, MAX_NU)},
-    "gpoly": {"nu": (0, MAX_NU), "n": (-MAX_GPOLY_N, MAX_GPOLY_N),
-              "--k": (-MAX_GPOLY_K, MAX_GPOLY_K, MAX_GPOLY_K_COUNT)},
-    "trace": {"nu": _TRACE_NU, "n": (1, MAX_TRACE_N)},
-    "eigenforms": {"weight": (12, 2 * MAX_NU)},
-    "dirichlet": {"nu": (6, MAX_NU)},
-    "rademacher": {"n": (1, rademacher.MAX_N)},
-}
+#: the domain lo..hi of each integer setting, whatever the command ("dps" that of ``--float-mode
+#: wide:<dps>``, below which mpmath is coarser than binary64).  ``big_n`` may also be None, and
+#: starts at 5: below it the only n <= N prime to 12 is 1, whose term a(0) is 0.  Each argument's
+#: domain is in ``COMMANDS``
+SETTINGS = {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (5, dmod.MAX_BIG_N),
+            "depth_c": _DEPTH_C, "dps": (15, MAX_DPS)}
 
 
 def _check_domain(name: str, value, domain: tuple, where: str = "") -> None:
@@ -119,9 +108,9 @@ def _setting(key: str, value):
     """``value`` as RunConfig field ``key``, if it lies in the field's domain.
     Every source of a setting passes through here, whatever the command."""
     if key == "float_mode" and (dps := _parse_float_mode(value)) is not None:
-        _check_domain("--float-mode dps", dps, DOMAINS["settings"]["dps"])
-    elif key in DOMAINS["settings"] and value is not None:
-        _check_domain("--" + key.replace("_", "-"), value, DOMAINS["settings"][key])
+        _check_domain("--float-mode dps", dps, SETTINGS["dps"])
+    elif key in SETTINGS and value is not None:
+        _check_domain("--" + key.replace("_", "-"), value, SETTINGS[key])
     elif key == "fmt" and value not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {value!r}")
     return value
@@ -152,7 +141,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raw = os.environ.get(name) if key != "out" else None  # --out has no environment variable
         if raw is not None:
             try:
-                values[key] = _setting(key, int(raw) if key in DOMAINS["settings"] else raw)
+                values[key] = _setting(key, int(raw) if key in SETTINGS else raw)
             except ValueError as exc:
                 raise ValueError(f"environment variable {name}: {exc}") from None
     for key in _FIELD_TYPES:
@@ -187,7 +176,9 @@ def _render(payload: dict, fmt: str) -> str:
     if isinstance(rows, dict):
         rows = [rows]
     flat_rows = [_flat(r) for r in rows]
-    header = sorted({k for r in flat_rows for k in r})
+    # list indices compare as integers ([2] before [10]), the rest as the strings they are
+    columns = {k for r in flat_rows for k in r}
+    header = sorted(columns, key=lambda k: re.sub(r"(?<=\[)\d+(?=\])", lambda m: m[0].zfill(20), k))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -242,16 +233,18 @@ def _parse_method(method: str) -> tuple[str, int]:
 
 
 def _check_arguments(args: argparse.Namespace) -> None:
-    """Every integer argument of the request in its DOMAINS entry, whatever the command, before
-    the command does any work; partition's --method is parsed here, once, into args.kind and .value."""
-    command = args.command
-    if command == "partition":
+    """Every integer argument of the request in its ``COMMANDS`` domain, whatever the command,
+    before the command does any work; --method is parsed here, once, into args.kind and .value."""
+    arguments = COMMANDS[args.command][2]
+    if "--method" in arguments:
         args.kind, args.value = _parse_method(args.method)
-        command += " " + args.kind
-    for key, domain in DOMAINS.get(command, {}).items():
-        argument, _, part = key.partition(" ")  # "--method NU": the NU of --method
-        value = args.value if part else getattr(args, argument.lstrip("-"))
-        _check_domain(part or argument, value, domain, f"argument {argument}: ")
+    for name, (_, domain) in arguments.items():
+        if isinstance(domain, dict):  # one domain per --method kind
+            domain = domain.get(args.kind)
+        if domain and name == "--method":  # the domain of the NU or C inside it
+            _check_domain("NU" if args.kind == "trace" else "C", args.value, domain, "argument --method: ")
+        elif domain:
+            _check_domain(name, getattr(args, name.lstrip("-")), domain, f"argument {name}: ")
 
 
 def _rademacher_record(n: int, depth: int) -> dict:
@@ -289,7 +282,7 @@ def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
                 record["diff"] = Fraction(record["value"]) - baseline
                 code = 1
         results.append(record)
-    return {"command": "partition", "results": results}, code
+    return {"results": results}, code
 
 
 def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
@@ -310,29 +303,24 @@ def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
             record["cusp_multiplier"] = cusp.coeff(1)
         if space.dim_cusp in (1, 2):
             record["projections"] = list(hecke.eigenform_projections(nu))
-    return {"command": "pnu", "results": record}, 0
+    return {"results": record}, 0
 
 
 def cmd_gpoly(args, cfg: RunConfig) -> tuple[dict, int]:
-    results = [
-        {"nu": args.nu, "n": args.n, "k": k, "value": partitions.recurrence_weight(args.nu, args.n, k)}
-        for k in args.k
-    ]
-    return {"command": "gpoly", "results": results}, 0
+    results = [{"nu": args.nu, "n": args.n, "k": k, "value": partitions.recurrence_weight(args.nu, args.n, k)}
+               for k in args.k]
+    return {"results": results}, 0
 
 
 def cmd_trace(args, cfg: RunConfig) -> tuple[dict, int]:
     series = hecke.trace_series(args.nu, args.n)
     results = [{"n": n, "value": series.value(n)} for n in range(1, args.n + 1)]
-    return {"command": "trace", "nu": args.nu, "results": results}, 0
+    return {"nu": args.nu, "results": results}, 0
 
 
 def cmd_eigenforms(args, cfg: RunConfig) -> tuple[dict, int]:
     fs = hecke.eigenforms(args.weight)
-    results = [
-        {"weight": f.weight, "d": f.disc, "coefficients": list(f.coeffs)} for f in fs
-    ]
-    return {"command": "eigenforms", "results": results}, 0
+    return {"results": [{"weight": f.weight, "d": f.disc, "coefficients": list(f.coeffs)} for f in fs]}, 0
 
 
 def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
@@ -341,18 +329,45 @@ def cmd_dirichlet(args, cfg: RunConfig) -> tuple[dict, int]:
         {"eigenform": i + 1, "double_sum": value, "projection_exact": gamma, "norm_estimate": norm}
         for i, (value, gamma, norm) in enumerate(zip(est.double_sums, est.projections, est.estimates))
     ]
-    return {"command": "dirichlet", "nu": args.nu, "big_m": est.big_m, "big_n": est.big_n,
-            "results": results}, 0
+    return {"nu": args.nu, "big_m": est.big_m, "big_n": est.big_n, "results": results}, 0
 
 
 def cmd_rademacher(args, cfg: RunConfig) -> tuple[dict, int]:
     results = [_rademacher_record(n, cfg.depth_c) for n in args.n]
-    return {"command": "rademacher", "results": results}, 0
+    return {"results": results}, 0
 
 
 def cmd_verify(args, cfg: RunConfig) -> tuple[dict, int]:
     report = verify.run_suite(args.suite)
-    return {"command": "verify", "results": report}, 0 if report["ok"] else 1
+    return {"results": report}, 0 if report["ok"] else 1
+
+
+_INT, _RANGE = {"type": int}, {"type": _int_range, "help": "index or inclusive range a..b"}
+#: each subcommand, in help order: (help line, handler, {argument: (argparse keywords, domain)}).
+#: A domain is lo..hi, with a third entry capping how many values a range holds (a range lies in
+#: its domain at both ends), or None.  Partition's domains are per --method kind: that of
+#: --method is the one of the NU in trace:NU (trace nu's) or the C in rademacher:C (--depth-c's),
+#: checked before n's
+COMMANDS = {
+    "partition": ("partition numbers by several methods", cmd_partition, {
+        "--method": ({"default": "euler", "help": "euler | trace:NU | rademacher:C"},
+                     {"trace": _TRACE_NU, "rademacher": _DEPTH_C}),
+        "n": (_RANGE, {"euler": (0, MAX_PARTITION_N), "trace": (1, MAX_TRACE_N),
+                       "rademacher": (1, rademacher.MAX_N)}),
+        "--cross-check": ({"action": "store_true"}, None)}),
+    "pnu": ("eta bracket with its exact decomposition", cmd_pnu, {"nu": (_INT, (0, MAX_NU))}),
+    "gpoly": ("recurrence weight polynomial values", cmd_gpoly, {
+        "nu": (_INT, (0, MAX_NU)),
+        "n": (_INT, (-MAX_GPOLY_N, MAX_GPOLY_N)),
+        "--k": ({**_RANGE, "default": range(1)}, (-MAX_GPOLY_K, MAX_GPOLY_K, MAX_GPOLY_K_COUNT))}),
+    "trace": ("exact trace values 1..N", cmd_trace, {"nu": (_INT, _TRACE_NU), "n": (_INT, (1, MAX_TRACE_N))}),
+    "eigenforms": ("normalized Hecke eigenforms", cmd_eigenforms, {"weight": (_INT, (12, 2 * MAX_NU))}),
+    "dirichlet": ("truncated Dirichlet sums and norm estimates", cmd_dirichlet, {"nu": (_INT, (6, MAX_NU))}),
+    "rademacher": ("Kloosterman-Bessel partial sums for p(n)", cmd_rademacher,
+                   {"n": (_RANGE, (1, rademacher.MAX_N))}),
+    "verify": ("run a named verification suite", cmd_verify,
+               {"suite": ({"help": "|".join(sorted(verify.SUITES))}, None)}),
+}
 
 
 def _shared_options() -> argparse.ArgumentParser:
@@ -362,10 +377,10 @@ def _shared_options() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     for key, text in (("prec", "q-coefficients (default 60)"), ("big_m", "Dirichlet M"),
                       ("big_n", "Dirichlet n-truncation"), ("depth_c", "Kloosterman depth C")):
-        help_text = "%s, %d..%d" % (text, *DOMAINS["settings"][key])
+        help_text = "%s, %d..%d" % (text, *SETTINGS[key])
         shared.add_argument("--" + key.replace("_", "-"), dest=key, type=int, default=S, help=help_text)
     shared.add_argument("--float-mode", dest="float_mode", default=S, help="binary64 (default) or "
-                        "wide:<dps>, dps in %d..%d, for mpmath weight evaluation" % DOMAINS["settings"]["dps"])
+                        "wide:<dps>, dps in %d..%d, for mpmath weight evaluation" % SETTINGS["dps"])
     shared.add_argument("--format", dest="fmt", choices=FORMATS, default=S)
     shared.add_argument("--out", default=S, help="write output to a file instead of stdout")
     shared.add_argument("--config", default=S, help="optional JSON config file (flags win)")
@@ -388,47 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
         "decompositions, twisted Dirichlet sums, and Kloosterman-Bessel p(n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[shared])
-
-    p = add("partition", "partition numbers by several methods")
-    p.add_argument("n", type=_int_range, help="index or inclusive range a..b")
-    p.add_argument("--method", default="euler", help="euler | trace:NU | rademacher:C")
-    p.add_argument("--cross-check", action="store_true", dest="cross_check")
-    p.set_defaults(func=cmd_partition)
-
-    p = add("pnu", "eta bracket with its exact decomposition")
-    p.add_argument("nu", type=int)
-    p.set_defaults(func=cmd_pnu)
-
-    p = add("gpoly", "recurrence weight polynomial values")
-    p.add_argument("nu", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--k", type=_int_range, default=range(1), help="index or inclusive range a..b")
-    p.set_defaults(func=cmd_gpoly)
-
-    p = add("trace", "exact trace values 1..N")
-    p.add_argument("nu", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_trace)
-
-    p = add("eigenforms", "normalized Hecke eigenforms")
-    p.add_argument("weight", type=int)
-    p.set_defaults(func=cmd_eigenforms)
-
-    p = add("dirichlet", "truncated Dirichlet sums and norm estimates")
-    p.add_argument("nu", type=int)
-    p.set_defaults(func=cmd_dirichlet)
-
-    p = add("rademacher", "Kloosterman-Bessel partial sums for p(n)")
-    p.add_argument("n", type=_int_range, help="index or inclusive range a..b")
-    p.set_defaults(func=cmd_rademacher)
-
-    p = add("verify", "run a named verification suite")
-    p.add_argument("suite", help="|".join(sorted(verify.SUITES)))
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, parents=[shared])
+        for argument, (keywords, _) in arguments.items():
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -453,7 +432,7 @@ def main(argv=None) -> int:
     except (ValueError, PentarcError) as exc:
         print(f"pentarc: {exc}", file=sys.stderr)
         return 2
-    payload["config"] = cfg._asdict()
+    payload["command"], payload["config"] = args.command, cfg._asdict()
     payload["timings"] = {"seconds": time.perf_counter() - start}
     try:
         _emit(payload, cfg)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -42,7 +43,7 @@ def run_json(capsys, *argv):
 
 
 #: the documented domain lo..hi of each integer setting
-DOMAINS = {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (1, dmod.MAX_BIG_N), "depth_c": (1, MAX_DEPTH_C)}
+DOMAINS = {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (5, dmod.MAX_BIG_N), "depth_c": (1, MAX_DEPTH_C)}
 
 
 def test_partition_euler(capsys):
@@ -196,7 +197,7 @@ def test_bad_float_mode_exits_2(capsys, mode):
     assert "--float-mode" in captured.err
 
 
-@pytest.mark.parametrize("big_n", [0, dmod.MAX_BIG_N + 1])
+@pytest.mark.parametrize("big_n", [0, 4, dmod.MAX_BIG_N + 1])
 def test_big_n_out_of_range_exits_2(capsys, big_n):
     code = main(["--big-n", str(big_n), "dirichlet", "6"])
     captured = capsys.readouterr()
@@ -291,6 +292,44 @@ def test_verify_unknown_suite(capsys):
     assert captured.err == f"pentarc: unknown suite 'no-such-suite'; choose from {sorted(verify.SUITES)}\n"
 
 
+#: each command, in help order, with its help line and every argument its usage names
+HELP = {
+    "partition": ("partition numbers by several methods", ["--method", "--cross-check", "n"]),
+    "pnu": ("eta bracket with its exact decomposition", ["nu"]),
+    "gpoly": ("recurrence weight polynomial values", ["--k", "nu", "n"]),
+    "trace": ("exact trace values 1..N", ["nu", "n"]),
+    "eigenforms": ("normalized Hecke eigenforms", ["weight"]),
+    "dirichlet": ("truncated Dirichlet sums and norm estimates", ["nu"]),
+    "rademacher": ("Kloosterman-Bessel partial sums for p(n)", ["n"]),
+    "verify": ("run a named verification suite", ["suite"]),
+}
+
+
+def run_help(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    return captured.out
+
+
+def test_help_lists_each_command_and_its_arguments(capsys):
+    listed = re.findall(r"^    (\w+) +(\S.*)$", run_help(capsys), flags=re.MULTILINE)
+    assert listed == [(name, text) for name, (text, _) in HELP.items()]
+    for name, (_, arguments) in HELP.items():
+        usage = run_help(capsys, name).split("\n\n", 1)[0]
+        assert usage.startswith(f"usage: pentarc {name} ")
+        assert set(arguments) <= set(re.findall(r"[\w-]+", usage)), name
+
+
+def test_csv_columns_put_list_indices_in_numeric_order(capsys):
+    code, out = run_cli(capsys, "--format", "csv", "pnu", "0")
+    assert code == 0
+    coeffs = [f"series.coeffs[{i}]" for i in range(60)]
+    assert out.splitlines()[0].split(",") == ["eisenstein_coefficient", "nu", "prec", *coeffs,
+                                              "series.offset", "series.prec"]
+
+
 def test_usage_errors_exit_2(capsys):
     code, _ = run_cli(capsys, "partition", "5", "--method", "bogus")
     assert code == 2
@@ -309,7 +348,6 @@ def test_output_determinism(capsys):
         return json.dumps(data, sort_keys=True)
 
     assert strip_timing(first) == strip_timing(second)
-    assert first != second or first == second  # timings differ or collide; both fine
 
 
 def test_out_file_and_formats(tmp_path, capsys):
@@ -488,7 +526,7 @@ def test_truncation_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, flag, k
     "key, argv",
     [
         ("prec", ["--prec", str(MAX_PREC), "pnu", "0"]),
-        ("big_m", ["--big-m", str(MAX_BIG_M), "--big-n", "1", "dirichlet", "6"]),
+        ("big_m", ["--big-m", str(MAX_BIG_M), "--big-n", "5", "dirichlet", "6"]),
     ],
 )
 def test_truncation_at_its_ceiling(capsys, key, argv):
@@ -519,7 +557,7 @@ def test_float_mode_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, mode, m
         else:
             monkeypatch.setenv("PENTARC_FLOAT_MODE", env_value)
         start = time.perf_counter()
-        code = main(argv + ["--big-m", "0", "--big-n", "1", "dirichlet", "6"])
+        code = main(argv + ["--big-m", "0", "--big-n", "5", "dirichlet", "6"])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and elapsed < 1
@@ -528,7 +566,7 @@ def test_float_mode_above_ceiling_exits_2(capsys, monkeypatch, tmp_path, mode, m
 
 
 def test_float_mode_at_its_ceiling(capsys):
-    code, data = run_json(capsys, "--float-mode", f"wide:{MAX_DPS}", "--big-m", "0", "--big-n", "1", "dirichlet", "6")
+    code, data = run_json(capsys, "--float-mode", f"wide:{MAX_DPS}", "--big-m", "0", "--big-n", "5", "dirichlet", "6")
     assert code == 0 and data["config"]["float_mode"] == f"wide:{MAX_DPS}"
 
 
@@ -611,7 +649,7 @@ def test_argument_at_an_end_of_its_domain(capsys, argv):
 INNER_INTEGERS = [
     (["partition", "3", "--method", "trace:X"], "argument --method: NU", 2, 200),
     (["partition", "3", "--method", "rademacher:X"], "argument --method: C", 1, 1000),
-    (["--float-mode", "wide:X", "--big-m", "0", "--big-n", "1", "dirichlet", "6"],
+    (["--float-mode", "wide:X", "--big-m", "0", "--big-n", "5", "dirichlet", "6"],
      "bad configuration: --float-mode dps", 15, 1000),
 ]
 
@@ -702,9 +740,9 @@ SOURCES = ("config", "env", "flag")  # lowest precedence first
 
 
 def grid(key):
-    """Each integer setting at lo - 1, lo, hi and hi + 1."""
+    """Each integer setting at lo - 1, lo, hi and hi + 1, and at the smallest counts 0 and 1."""
     lo, hi = DOMAINS[key]
-    return (lo - 1, lo, hi, hi + 1)
+    return tuple(sorted({0, 1, lo - 1, lo, hi, hi + 1}))
 
 
 def run_with_settings(config_path, given, command=("partition", "3")):
