@@ -91,7 +91,7 @@ def _monomial_rows(weight: int, start: IntQSeries) -> list[IntQSeries]:
     return [left * y_power for left, y_power in zip(lefts, y_powers[::-1])] + lefts[-1:]
 
 
-#: a ``verify all`` pass, the busiest workload, reads 9 (weight, length)
+#: a ``verify all`` pass, the busiest workload, reads 10 (weight, length)
 @lru_cache(maxsize=16)
 def _cusp_lattice(weight: int, length: int) -> tuple[tuple[int, ...], ...]:
     """Coefficients 0..length-1 of each Delta E4^a E6^b of weight ``weight``,

@@ -86,10 +86,9 @@ def _parse_float_mode(mode: str) -> int | None:
 _FIELD_TYPES = get_type_hints(RunConfig)
 _TRACE_NU, _DEPTH_C = (2, MAX_NU), (1, rademacher.MAX_DEPTH_C)
 #: the domain lo..hi of each integer setting, whatever the command ("dps" that of ``--float-mode
-#: wide:<dps>``, below which mpmath is coarser than binary64).  ``big_n`` may also be None, and
-#: starts at 5: below it the only n <= N prime to 12 is 1, whose term a(0) is 0.  Each argument's
-#: domain is in ``COMMANDS``
-SETTINGS = {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (5, dmod.MAX_BIG_N),
+#: wide:<dps>``, below which mpmath is coarser than binary64).  ``big_n`` may also be None.
+#: Each argument's domain is in ``COMMANDS``
+SETTINGS = {"prec": (2, MAX_PREC), "big_m": (0, MAX_BIG_M), "big_n": (dmod.MIN_BIG_N, dmod.MAX_BIG_N),
             "depth_c": _DEPTH_C, "dps": (15, MAX_DPS)}
 
 

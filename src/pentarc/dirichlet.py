@@ -13,23 +13,13 @@ converges (as M, N grow) to the Petersson pairing of the order-nu eta
 bracket against f, scaled by 24^nu; dividing by the exact projection ratio
 from the hecke module therefore estimates the Petersson norm of f.
 
-The coefficients a_f((n^2-1)/24) reach ~N^2/24, but the exact monomial
-tables are built only to N + 1.  A normalized level-1 eigenform has
-multiplicative coefficients, and for n > 1 prime to 6 the index splits
-into three pairwise coprime factors, each at most n + 1:
-
-    (n^2-1)/24 = 2^e u v,
-
-with u and v the odd parts of n - 1 and n + 1 (gcd 2), the one that 3
-divides divided by 3, and e = s + t - 3 for the 2-adic valuations s, t of
-n - 1 and n + 1.  So a_f((n^2-1)/24) = a_f(2^e) a_f(u) a_f(v), three
-table reads.  The tables are ``hecke.eigen_pairs``: the coefficients are
-algebraic integers of Q(sqrt(d)), so 2a = x + y sqrt(d) with integers x
-and y, checked integral there, and each coefficient is assembled exactly
-as such a pair, in Python ints: a product of pairs halves
-((x1 x2 + d y1 y2)/2, (x1 y2 + x2 y1)/2), and each halving is checked
-exact.  Every assembled index the table reaches directly is checked
-against it, and each coefficient is rounded to a float once.
+The coefficients a_f((n^2-1)/24) reach ~N^2/24, but the exact tables of
+``hecke.eigen_pairs`` are built only to N + 1.  ``embedded_eigenforms``
+reaches the rest in one pass by Hecke multiplicativity, as
+a_f(2^e) a_f(u) a_f(v) over the pairwise coprime factors of
+``_coprime_split``, in exact integer pairs rounded once, and keeps the
+nonzero terms (chi(n) a_f((n^2-1)/24), n) on each eigenform's record
+(``EmbeddedEigenform.terms``), in n order; the sums read nothing else.
 
 Summation is j-outer, m-inner, n-innermost, with Neumaier-compensated
 accumulation so results reproduce across platforms to >= 12 digits.  The
@@ -47,12 +37,13 @@ eigenforms.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
-from .arith import kronecker_symbol  # re-exported: part of this module's API
+from .arith import kronecker_symbol
 from .errors import InternalCancellationError, PrecisionError
 from .exactnum import QuadNum, rising_factorial
 from .forms import dim_cusp
@@ -60,10 +51,10 @@ from .hecke import eigen_pairs, eigenform_projections
 
 __all__ = [
     "DEFAULT_BIG_M",
+    "MIN_BIG_N",
     "MAX_BIG_N",
     "default_big_n",
     "kronecker12",
-    "kronecker_symbol",
     "dirichlet_weight",
     "dirichlet_weight_float",
     "dirichlet_partial",
@@ -75,11 +66,15 @@ __all__ = [
 ]
 
 DEFAULT_BIG_M = 100
+#: smallest n-truncation of a norm estimate (``--big-n`` domain limit): below it
+#: the only n <= N prime to 12 is 1, whose term a(0) is 0
+MIN_BIG_N = 5
 #: largest n-truncation accepted (``--big-n`` domain limit); the monomial
 #: tables reach index N + 1
 MAX_BIG_N = 1048574
 
-_KRON12 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
+#: (12|n) by n mod 12, read from the general symbol
+_KRON12 = tuple(kronecker_symbol(12, n) for n in range(12))
 
 
 def default_big_n(nu: int) -> int:
@@ -152,25 +147,19 @@ def _neumaier_sum(values) -> float:
     return total + comp
 
 
-def _twisted_terms(f, N: int) -> list[tuple[float, float]]:
-    """The nonzero terms (chi(n) a_f((n^2-1)/24), n) for 1 <= n <= N, in n
-    order.  Zero terms leave a Neumaier sum as it is, so dropping them
-    changes no bit of it."""
-    terms = []
-    for n in range(1, N + 1):
-        chi = kronecker12(n)
-        if not chi:
-            continue
-        num = n * n - 1
-        if num % 24:
-            raise InternalCancellationError(f"24 does not divide {n}^2 - 1 with gcd(n,12)=1")
-        coeff = chi * f.a_float(num // 24)
-        if coeff:
-            terms.append((coeff, float(n)))
-    return terms
+class EmbeddedEigenform(NamedTuple):
+    """An eigenform of weight ``weight`` over Q(sqrt(disc)), sqrt(disc) > 0:
+    its nonzero twisted terms (chi(n) a_f((n^2-1)/24), float(n)) for n <= big_n,
+    in n order, and its Dirichlet partial sums, ``partials[N][s]`` = D(f, N; s)."""
+
+    weight: int
+    disc: int
+    big_n: int
+    terms: tuple[tuple[float, float], ...]
+    partials: dict[int, dict[int, float]]
 
 
-def _partial_sum(terms: list[tuple[float, float]], s: int) -> float:
+def _partial_sum(terms: tuple[tuple[float, float], ...], s: int) -> float:
     """_neumaier_sum of coeff * n^(-s) over ``terms``, inlined.
 
     The n ascend, so once n^(-s) underflows to 0.0 every later term is 0.0
@@ -193,31 +182,32 @@ def _partial_sum(terms: list[tuple[float, float]], s: int) -> float:
     return total + comp
 
 
-def _partial_table(f, N: int, exponents: range) -> dict[int, float]:
+def _partial_table(f: EmbeddedEigenform, N: int, exponents: range) -> dict[int, float]:
     """f's partial sums D(f, N; s) by s, the missing ones of ``exponents``
-    summed in.  The table is ``f.partials[N]``, so it lives and dies with
-    the eigenform; an ``f`` without one, such as a ``hecke.Eigenform``, gets
-    a fresh dict.  The domain is checked from ``exponents.start``, the
-    smallest s, on every call, whether the table holds the sums or not."""
+    summed in from the prefix of ``f.terms`` with n <= N.  The table is
+    ``f.partials[N]``, so it lives and dies with the eigenform.  The domain
+    is checked from ``exponents.start``, the smallest s, on every call,
+    whether the table holds the sums or not."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if exponents.start < f.weight + 1:
         raise ValueError(f"s = {exponents.start} below absolute-convergence bound {f.weight + 1}")
-    tables = getattr(f, "partials", None)
-    sums = {} if tables is None else tables.setdefault(N, {})
+    if N > f.big_n:
+        raise PrecisionError(f"twisted terms stored only to n = {f.big_n}")
+    sums = f.partials.setdefault(N, {})
     missing = [s for s in exponents if s not in sums]
     if missing:
-        terms = _twisted_terms(f, N)
+        terms = f.terms[: bisect_right(f.terms, N, key=itemgetter(1))]
         for s in missing:
             sums[s] = _partial_sum(terms, s)
     return sums
 
 
-def dirichlet_partial(f, N: int, s: int) -> float:
+def dirichlet_partial(f: EmbeddedEigenform, N: int, s: int) -> float:
     """Partial sum of the twisted series over 1 <= n <= N, from f's table.
 
-    ``f`` needs ``weight`` and ``a_float(m)``; coefficients must reach
-    (N^2-1)/24.  Requires s >= weight + 1 (absolute convergence).
+    ``f`` is an ``EmbeddedEigenform`` whose terms reach N (``f.big_n >= N``).
+    Requires s >= weight + 1 (absolute convergence).
     """
     return _partial_table(f, N, range(s, s + 1))[s]
 
@@ -253,7 +243,7 @@ def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float],
         return tuple(out)
 
 
-def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> float:
+def dirichlet_double_sum(f: EmbeddedEigenform, nu: int, M: int, N: int, dps: int | None = None) -> float:
     """The truncated weighted double sum (j outer, m inner, n innermost).
 
     ``dps`` switches the weight evaluation to mpmath at that many decimal
@@ -267,26 +257,6 @@ def dirichlet_double_sum(f, nu: int, M: int, N: int, dps: int | None = None) -> 
         raise ValueError("M must be >= 0")
     sums = _partial_table(f, N, range(2 * nu + 1, 2 * nu + 1 + 2 * (M + nu - 1), 2))
     return _neumaier_sum([weight * sums[s] for s, weight in _float_weights(nu, M, dps)])
-
-
-class EmbeddedEigenform:
-    """Real-embedded eigenform coefficients backed by the exact Delta E4^a E6^b
-    lattice rows, and the table of its Dirichlet partial sums:
-    ``partials[N][s]`` is D(f, N; s)."""
-
-    __slots__ = ("weight", "disc", "_table", "partials")
-
-    def __init__(self, weight: int, disc: int, table):
-        self.weight = weight
-        self.disc = disc
-        self._table = table
-        self.partials: dict[int, dict[int, float]] = {}
-
-    def a_float(self, m: int) -> float:
-        try:
-            return self._table[m]
-        except KeyError:
-            raise PrecisionError(f"coefficient {m} not tabulated") from None
 
 
 def _half_product(p: tuple[int, int], q: tuple[int, int], d: int) -> tuple[int, int]:
@@ -321,34 +291,45 @@ def _coprime_split(n: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=8)
 def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
-    """Embedded coefficient tables covering every index (n^2-1)/24, n <= N.
+    """The eigenforms of S_2nu, each with its twisted terms for n <= N, built
+    in one pass over the n prime to 6 (n = 1 has the term a(0) = 0).
 
     The ``eigen_pairs`` tables reach only N + 1 (length N + 2).  Each
-    coefficient a is carried exactly as the integer pair (x, y) with
-    2a = x + y sqrt(d), assembled as a(2^e) a(u) a(v) from the ``_coprime_split``
-    of its n, and rounded once at embedding time, to the same float as the
-    exact x/2 + (y/2) sqrt(d); every needed index <= N + 1 is also read
-    straight from the tables and must agree with its assembly.
+    a = a_f((n^2-1)/24) is assembled exactly as the integer pair (x, y) of
+    2a = x + y sqrt(d), a(2^e) a(u) a(v) from the ``_coprime_split`` of n,
+    and rounded once, to the same float as the exact x/2 + (y/2) sqrt(d);
+    every index <= N + 1 is also read straight from the tables and must
+    agree with its assembly.
     """
     if dim_cusp(2 * nu) == 0:
         raise ValueError(f"S_{2*nu} is trivial")
     top = N + 1
-    splits = [((n * n - 1) // 24, _coprime_split(n)) for n in range(5, N + 1) if gcd(n, 6) == 1]
+    splits = []
+    for n in range(5, N + 1):
+        chi = kronecker12(n)
+        if chi:
+            e, u, v = _coprime_split(n)
+            m = (u * v) << e
+            if 24 * m != n * n - 1:
+                raise InternalCancellationError(f"the coprime split of {n} is wrong: 24 * {m} != {n}^2 - 1")
+            splits.append((float(n), chi, m, e, u, v))
     weight = 2 * nu
     d, pairs = eigen_pairs(weight, top + 1)
     sqrt_d = math.sqrt(d)
     out = []
     for read in pairs:
-        values = {0: 0.0}  # n = 1: a cusp form has a(0) = 0
-        for m, (e, u, v) in splits:
+        terms = []
+        for n, chi, m, e, u, v in splits:
             pair = _half_product(_half_product(read[1 << e], read[u], d), read[v], d)
             if m <= top and pair != read[m]:
                 raise InternalCancellationError(
                     f"coefficient {m} of the weight-{weight} eigenform breaks Hecke multiplicativity"
                 )
-            # int / int rounds once, as float(Fraction(x, 2)) does
-            values[m] = pair[0] / 2 + (pair[1] / 2) * sqrt_d
-        out.append(EmbeddedEigenform(weight, d, values))
+            # int / int rounds once, as float(Fraction(x, 2)) does; chi = +-1 flips the sign exactly
+            coeff = chi * (pair[0] / 2 + (pair[1] / 2) * sqrt_d)
+            if coeff:  # a zero term leaves a Neumaier sum's bits alone
+                terms.append((coeff, n))
+        out.append(EmbeddedEigenform(weight, d, N, tuple(terms), {}))
     return tuple(out)
 
 
@@ -371,6 +352,8 @@ def petersson_norm_estimate(
     projection ratio, both embedded with sqrt(d) > 0."""
     M = DEFAULT_BIG_M if M is None else M
     N = default_big_n(nu) if N is None else N
+    if N < MIN_BIG_N:
+        raise ValueError(f"a norm estimate needs N >= {MIN_BIG_N}, got {N}")
     projections = eigenform_projections(nu)
     sums = tuple(dirichlet_double_sum(f, nu, M, N, dps) for f in embedded_eigenforms(nu, N))
     estimates = tuple(s / gamma.embed() for s, gamma in zip(sums, projections))

@@ -98,12 +98,6 @@ class Eigenform(NamedTuple):
     def a(self, n: int) -> QuadNum:
         return self.coeffs[n]
 
-    def a_float(self, m: int) -> float:
-        """Real embedding of a(m) with sqrt(disc) > 0."""
-        if m >= len(self.coeffs):
-            raise PrecisionError(f"eigenform coefficients stored only to {len(self.coeffs) - 1}")
-        return self.coeffs[m].embed()
-
 
 class TraceSeries(NamedTuple):
     nu: int
@@ -184,7 +178,10 @@ def eigen_pairs(weight: int, length: int) -> tuple[int, tuple[list[tuple[int, in
 @lru_cache(maxsize=8)
 def eigenforms(weight: int, prec: int = _EIGEN_PREC) -> tuple[Eigenform, ...]:
     """Normalized Hecke eigenforms of S_weight for dim 1 or 2, read from
-    ``eigen_pairs`` in its order, each checked by ``_check_eigenform``."""
+    ``eigen_pairs`` in its order, each checked by ``_check_eigenform``, whose
+    T_2 check first compares a(4) + 2^(weight-1) a(1) with a(2)^2 at prec 6."""
+    if prec < 6:
+        raise ValueError(f"eigenforms needs prec >= 6, got {prec}")
     d, pairs = eigen_pairs(weight, prec)
     forms = tuple(
         Eigenform(weight, d, tuple(QuadNum(Fraction(x, 2), Fraction(y, 2), d) for x, y in p)) for p in pairs

@@ -164,7 +164,7 @@ def check_kronecker() -> tuple[bool, str]:
 
 
 def check_dirichlet_small() -> tuple[bool, str]:
-    f = hecke.eigenforms(12)[0]
+    f = dmod.embedded_eigenforms(6, 5)[0]
     v = dmod.dirichlet_partial(f, 5, 13)
     if v != -(5.0**-13):
         return False, "N=5 partial sum wrong"

@@ -10,8 +10,10 @@ import pytest
 
 from pentarc import dirichlet as dmod
 from pentarc._coeffs import cusp_monomial_coeffs
+from pentarc.arith import kronecker_symbol
 from pentarc.dirichlet import (
     DEFAULT_BIG_M,
+    MIN_BIG_N,
     EmbeddedEigenform,
     _coprime_split,
     _float_weights,
@@ -23,13 +25,13 @@ from pentarc.dirichlet import (
     dirichlet_weight_float,
     embedded_eigenforms,
     kronecker12,
-    kronecker_symbol,
     petersson_norm_estimate,
 )
 from pentarc.errors import InternalCancellationError, PrecisionError
 from pentarc.exactnum import QuadNum
 from pentarc.forms import _monomial_exponents, delta
 from pentarc.hecke import eigen_coordinates, eigenform_projections, eigenforms
+from pentarc.verify import run_suite
 
 #: dirichlet_weight(nu, j, 0) for j = 0..nu-2, as the Gamma-function
 #: products of the earlier pi-power scalar class computed them
@@ -213,13 +215,13 @@ def test_float_weights_match_the_reference(dps):
 
 
 def test_partial_small_cases():
-    (f,) = eigenforms(12)
+    (f,) = embedded_eigenforms(6, 5)
     assert dirichlet_partial(f, 1, 13) == 0.0
     assert dirichlet_partial(f, 5, 13) == -(5.0**-13)
     with pytest.raises(ValueError):
         dirichlet_partial(f, 5, 12)  # below absolute-convergence bound
     with pytest.raises(PrecisionError):
-        dirichlet_partial(f, 200, 13)  # beyond the stored exact coefficients
+        dirichlet_partial(f, 6, 13)  # beyond the record's terms
 
 
 def test_partial_tail_decreases(delta_table_2000):
@@ -233,14 +235,15 @@ def test_partial_tail_decreases(delta_table_2000):
 
 
 def test_embedded_table_matches_exact_small_indices(delta_table_2000):
+    # every n <= 37 prime to 6, each term chi(n) tau((n^2-1)/24) read from the exact Delta
     d = delta(60)
-    for n in (1, 5, 7, 11, 13, 25, 35, 37):
-        m = (n * n - 1) // 24
-        assert delta_table_2000.a_float(m) == float(d.coeff(m))
+    want = [(kronecker12(n) * float(d.coeff((n * n - 1) // 24)), float(n)) for n in range(1, 38) if kronecker12(n)]
+    got = [(c, n) for c, n in delta_table_2000.terms if n <= 37]
+    assert [(c.hex(), n) for c, n in got] == [(c.hex(), n) for c, n in want if c]
 
 
 def test_double_sum_hand_composed():
-    (f,) = eigenforms(12)
+    (f,) = embedded_eigenforms(6, 2)
     total = 0.0
     for j in range(5):
         total += dirichlet_weight_float(6, j, 0) * dirichlet_partial(f, 2, 13 + 2 * j)
@@ -261,20 +264,21 @@ def _neumaier_sum(values) -> float:
     return total + comp
 
 
-def _partial_reference(f, N, s):
-    """The partial sum over every n, zero terms included."""
+def _partial_reference(coeffs, N, s):
+    """The partial sum over every n, zero terms included, with each
+    a((n^2-1)/24) read from ``coeffs``, an oracle's {index: float}."""
     return _neumaier_sum(
-        kronecker12(n) * f.a_float((n * n - 1) // 24) * float(n) ** (-s)
+        kronecker12(n) * coeffs[(n * n - 1) // 24] * float(n) ** (-s)
         for n in range(1, N + 1)
         if kronecker12(n)
     )
 
 
-def _double_sum_reference(f, nu, M, N, dps=None):
+def _double_sum_reference(coeffs, nu, M, N, dps=None):
     """Every (j, m) evaluates its weight from scratch and its partial sum
     over every n, zero terms included."""
     return _neumaier_sum(
-        dirichlet_weight_float(nu, j, m, dps) * _partial_reference(f, N, 2 * nu + 1 + 2 * m + 2 * j)
+        dirichlet_weight_float(nu, j, m, dps) * _partial_reference(coeffs, N, 2 * nu + 1 + 2 * m + 2 * j)
         for j in range(nu - 1)
         for m in range(M + 1)
     )
@@ -285,9 +289,9 @@ def test_partial_matches_reference_through_underflow():
     # s = 463, so these exponents cover every term kept, a tail stopped
     # early, subnormal first terms and an all-zero sum
     for nu, N in ((6, 120), (12, 80)):
-        for f in embedded_eigenforms(nu, N):
+        for f, coeffs in zip(embedded_eigenforms(nu, N), _embedded_full_range(nu, N), strict=True):
             for s in range(2 * nu + 1, 480):
-                assert dirichlet_partial(f, N, s) == _partial_reference(f, N, s), (nu, s)
+                assert dirichlet_partial(f, N, s) == _partial_reference(coeffs, N, s), (nu, s)
 
 
 @pytest.mark.parametrize("dps", [None, 30])
@@ -297,8 +301,8 @@ def test_double_sum_matches_reference_loop(dps):
     for nu, M, N in ((6, 7, 60), (12, 5, 40), (9, 0, 25), (6, 100, 120), (12, 100, 80)):
         if M == 100:
             assert float(N - 1) ** -(2 * nu + 1 + 2 * M + 2 * (nu - 2)) == 0.0
-        for f in embedded_eigenforms(nu, N):
-            assert dirichlet_double_sum(f, nu, M, N, dps) == _double_sum_reference(f, nu, M, N, dps)
+        for f, coeffs in zip(embedded_eigenforms(nu, N), _embedded_full_range(nu, N), strict=True):
+            assert dirichlet_double_sum(f, nu, M, N, dps) == _double_sum_reference(coeffs, nu, M, N, dps)
 
 
 def test_default_double_sums_pinned():
@@ -346,9 +350,9 @@ def test_embedded_matches_full_range_tables():
         oracle = _embedded_full_range(nu, N)
         assert len(forms) == len(oracle)
         for f, values in zip(forms, oracle):
-            assert f.disc == disc
-            for m, want in values.items():
-                assert f.a_float(m).hex() == want.hex(), (nu, N, m)
+            assert (f.weight, f.disc, f.big_n) == (2 * nu, disc, N)
+            want = [(kronecker12(n) * values[(n * n - 1) // 24], float(n)) for n in range(1, N + 1) if kronecker12(n)]
+            assert [(c.hex(), n) for c, n in f.terms] == [(c.hex(), n) for c, n in want if c], (nu, N)
 
 
 def test_coprime_split_covers_every_index():
@@ -407,7 +411,7 @@ def test_norm_estimate_weight12_window():
 
 
 def test_double_sum_wide_mode_close():
-    (f,) = eigenforms(12)
+    (f,) = embedded_eigenforms(6, 15)
     plain = dirichlet_double_sum(f, 6, 3, 15)
     wide = dirichlet_double_sum(f, 6, 3, 15, dps=40)
     assert wide == pytest.approx(plain, rel=1e-12)
@@ -436,16 +440,16 @@ def test_norm_estimates_other_weights_positive_and_stable():
 
 def _fresh(nu, N):
     """The embedded eigenforms of (nu, N), each with an empty partial-sum table."""
-    return [EmbeddedEigenform(f.weight, f.disc, f._table) for f in embedded_eigenforms(nu, N)]
+    return [f._replace(partials={}) for f in embedded_eigenforms(nu, N)]
 
 
 def test_partial_table_serves_every_m_dps_and_n_bit_for_bit():
     for nu, N in ((6, 120), (12, 80)):
-        for f in _fresh(nu, N):
+        for f, coeffs in zip(_fresh(nu, N), _embedded_full_range(nu, N), strict=True):
             dirichlet_double_sum(f, nu, 100, N)
             for M, n, dps in ((0, N, None), (3, N, None), (50, N, None), (200, N, None), (100, N, 30), (100, 47, None)):
                 got = dirichlet_double_sum(f, nu, M, n, dps)
-                assert got.hex() == _double_sum_reference(f, nu, M, n, dps).hex(), (nu, M, n, dps)
+                assert got.hex() == _double_sum_reference(coeffs, nu, M, n, dps).hex(), (nu, M, n, dps)
 
 
 def test_partial_table_still_checks_the_domain():
@@ -463,32 +467,44 @@ def test_partial_table_still_checks_the_domain():
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Calls of _twisted_terms and _partial_sum, counted from the fixture on."""
-    counts = dict.fromkeys(("_twisted_terms", "_partial_sum"), 0)
-    for name in counts:
+    """A reader of the work done since its last call: embedded_eigenforms
+    cache misses, each one pass that builds twisted terms, and _partial_sum
+    calls."""
+    calls = {"_partial_sum": 0}
+    real = dmod._partial_sum
 
-        def counted(*args, _name=name, _real=getattr(dmod, name)):
-            counts[_name] += 1
-            return _real(*args)
+    def counted(*args):
+        calls["_partial_sum"] += 1
+        return real(*args)
 
-        monkeypatch.setattr(dmod, name, counted)
-    return counts
+    monkeypatch.setattr(dmod, "_partial_sum", counted)
+    seen = {}
+
+    def read():
+        now = {"embedded_eigenforms": embedded_eigenforms.cache_info().misses, **calls}
+        since = {k: v - seen.get(k, 0) for k, v in now.items()}
+        seen.update(now)
+        return since
+
+    read()
+    return read
 
 
 def test_warm_double_sums_sum_no_series(work_counts):
-    none = dict.fromkeys(work_counts, 0)
+    none = {"embedded_eigenforms": 0, "_partial_sum": 0}
     first = petersson_norm_estimate(6)
-    work_counts.update(none)
+    work_counts()
     assert petersson_norm_estimate(6) == first
-    assert work_counts == none
+    assert work_counts() == none
     petersson_norm_estimate(6, dps=30)  # the weights change, the partial sums do not
-    assert work_counts == none
+    assert work_counts() == none
+    embedded_eigenforms.cache_clear()  # (6, 200) is then a miss; the clear zeroes the count, so read again
+    work_counts()
     (f,) = _fresh(6, 200)
     dirichlet_double_sum(f, 6, 100, 200)
-    assert work_counts == {"_twisted_terms": 1, "_partial_sum": 105}
-    work_counts.update(none)
+    assert work_counts() == {"embedded_eigenforms": 1, "_partial_sum": 105}
     dirichlet_double_sum(f, 6, 200, 200)  # only the 100 new exponents
-    assert work_counts == {"_twisted_terms": 1, "_partial_sum": 100}
+    assert work_counts() == {"embedded_eigenforms": 0, "_partial_sum": 100}
 
 
 def test_partial_tables_live_and_die_with_their_eigenforms():
@@ -508,3 +524,32 @@ def test_partial_tables_live_and_die_with_their_eigenforms():
     embedded_eigenforms.cache_clear()
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, EmbeddedEigenform) and 41 in o.partials]
+
+
+def test_one_pass_checks_each_index_against_its_n(monkeypatch):
+    # a split of (n^2-1)/24 off by a factor 2 must fail loudly, not sum a wrong coefficient
+    def doubled(n):
+        e, u, v = _coprime_split(n)
+        return e + 1, u, v
+
+    monkeypatch.setattr(dmod, "_coprime_split", doubled)
+    with pytest.raises(InternalCancellationError, match="coprime split of 5"):
+        embedded_eigenforms.__wrapped__(6, 30)
+
+
+def test_norm_estimate_needs_a_nonzero_term():
+    # below MIN_BIG_N the only n prime to 12 is 1, whose term a(0) is 0
+    with pytest.raises(ValueError, match="N >= 5, got 4"):
+        petersson_norm_estimate(6, 3, MIN_BIG_N - 1)
+    est = petersson_norm_estimate(6, 3, MIN_BIG_N)
+    assert est.big_n == 5 and est.double_sums[0] != 0.0
+    assert dirichlet_partial(embedded_eigenforms(6, 4)[0], 4, 13) == 0.0  # a partial sum takes any N >= 1
+
+
+def test_verify_dirichlet_fails_on_a_flipped_term(monkeypatch):
+    assert run_suite("dirichlet")["ok"] is True
+    (f,) = embedded_eigenforms(6, 5)
+    (coeff, n), *rest = f.terms
+    corrupt = f._replace(terms=((-coeff, n), *rest), partials={})
+    monkeypatch.setattr(dmod, "embedded_eigenforms", lambda nu, N: (corrupt,))
+    assert run_suite("dirichlet")["ok"] is False

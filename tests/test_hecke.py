@@ -112,6 +112,16 @@ def test_eigenforms_weight28_field():
     assert g2 == g1.conjugate()
 
 
+def test_eigenforms_need_prec_6():
+    # prec 6 is the first whose T_2 check compares a(4) + 2^(k-1) a(1) with a(2)^2
+    for prec in (2, 5):
+        with pytest.raises(ValueError, match="prec >= 6, got %d" % prec):
+            eigenforms(12, prec)
+    (f,) = eigenforms(12, 6)
+    assert f.prec == 6 and f.a(2) == -24
+    assert [g.prec for g in eigenforms(24, 6)] == [6, 6]
+
+
 def test_unsupported_dimension():
     with pytest.raises(UnsupportedHeckeFieldError):
         eigenforms(36)  # dim S_36 = 3

@@ -195,6 +195,7 @@ def test_cached_results_are_immutable():
         *((f, "coeffs") for f in hecke.eigenforms(24)), (forms.space_basis(24, 10), "basis"),
         (rademacher.kloosterman(5, -24, 24), "value"),
         (dirichlet.petersson_norm_estimate(12, 10, 50), "estimates"),
+        (dirichlet.embedded_eigenforms(12, 50)[0], "terms"),
     ]
     for result, field in fields:
         with pytest.raises(AttributeError):
