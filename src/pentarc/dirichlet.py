@@ -252,9 +252,13 @@ def dirichlet_double_sum(f: EmbeddedEigenform, nu: int, M: int, N: int, dps: int
     the partial sums of its M + nu - 1 distinct exponents are read from f's
     table, which sums only those it lacks; both give the same float as
     calling dirichlet_partial and dirichlet_weight_float for every (j, m).
+    ``f`` has weight 2nu: a larger nu raises here, a smaller one at the
+    convergence bound of the partial sums.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
+    if 2 * nu > f.weight:
+        raise ValueError(f"nu = {nu} does not match the weight-{f.weight} eigenform")
     sums = _partial_table(f, N, range(2 * nu + 1, 2 * nu + 1 + 2 * (M + nu - 1), 2))
     return _neumaier_sum([weight * sums[s] for s, weight in _float_weights(nu, M, dps)])
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from ._coeffs import _monomial_exponents, _monomial_rows, cusp_monomial_coeffs, eisenstein_series
@@ -116,8 +118,9 @@ def decompose(f: IntQSeries, space: MFSpace) -> list[Fraction]:
     """Exact coordinates of f in the monomial basis of the space.
 
     Solves against the first dim_total coefficients and then verifies that
-    the residual vanishes through the common precision; a nonzero residual
-    raises NotInSpaceError.
+    the residual vanishes through the common precision, in integers: the
+    coordinates over their common denominator, and the numerators of the
+    basis and of f over theirs.  A nonzero residual raises NotInSpaceError.
     """
     if f.offset < 0:
         raise ValueError("decompose expects exponents >= 0")
@@ -128,9 +131,16 @@ def decompose(f: IntQSeries, space: MFSpace) -> list[Fraction]:
     rhs = [f.coeff(n) for n in range(n_rows)]
     coords = solve(matrix, rhs)
     check_prec = min(f.prec, space.prec)
-    for n in range(check_prec):
-        synth = sum((coords[j] * space.basis[j].coeff(n) for j in range(n_rows)), Fraction(0))
-        if synth != f.coeff(n):
+    # sum_j c_j B_j / den_j = F / f.den, times lcm(c_j denominators) * lcm(den_j) * f.den
+    scale = lcm(*(c.denominator for c in coords))
+    basis_den = lcm(*(b.den for b in space.basis))
+    weights = [
+        c.numerator * (scale // c.denominator) * (basis_den // b.den) * f.den for c, b in zip(coords, space.basis)
+    ]
+    target_scale = scale * basis_den
+    rows = zip(f._window(0, check_prec), *(b._window(0, check_prec) for b in space.basis))
+    for n, (target, *row) in enumerate(rows):
+        if sum(map(mul, weights, row)) != target * target_scale:
             raise NotInSpaceError(
                 f"residual at q^{n}: series is not in the weight-{space.weight} space"
             )

@@ -12,9 +12,11 @@ where omega(k) = (3k^2+k)/2 and w_nu(n,k) is the weight polynomial
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalCancellationError
@@ -147,18 +149,62 @@ def recurrence_weight(nu: int, n: int, k: int) -> Fraction:
     return factor * _weight_numerator(weights, n, k)
 
 
-def pentagonal_numerator_sum(weights: tuple[int, ...], n: int, ptable: PartitionTable) -> int:
+class WeightColumns(NamedTuple):
+    """The signed weights of the pentagonal walk to n_max, by powers of 24n.
+
+    ``omegas[m]`` is omega(k) for the m-th k of ``pentagonal_terms(n_max)``,
+    and ``columns[i][m]`` is (-1)^(k+1) e_i u^(nu-i) for that k, where
+    u = (6k+1)^2 and W(n, k) = sum_i e_i (24n)^i u^(nu-i).
+    """
+
+    omegas: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 11 (nu, n_max)
+def _weight_columns(nu: int, n_max: int) -> WeightColumns:
+    """W(n, k) = sum_j w_j (24n - u)^j u^(nu-j) expanded in powers of 24n:
+    e_i = sum_{j >= i} (-1)^(j-i) C(j, i) w_j, for the w_j of ``bracket_weights``."""
+    weights, _ = bracket_weights(nu)
+    e = [sum((-1) ** (j - i) * comb(j, i) * weights[j] for j in range(i, nu + 1)) for i in range(nu + 1)]
+    terms = pentagonal_terms(n_max)
+    columns = [[] for _ in e]
+    for k, _ in terms:
+        u = (6 * k + 1) ** 2
+        u_pow = 1 if k % 2 else -1  # (-1)^(k+1) u^(nu-i), i from nu down
+        for i in range(nu, -1, -1):
+            columns[i].append(e[i] * u_pow)
+            u_pow *= u
+    return WeightColumns(tuple(w for _, w in terms), tuple(map(tuple, columns)))
+
+
+def pentagonal_numerator_sum(nu: int, n: int, ptable: PartitionTable) -> int:
     """sum over k != 0 with omega(k) <= n of (-1)^(k+1) W(n, k) p(n - omega(k)),
     where W(n, k) = ``_weight_numerator`` is w_nu(n, k) over the per-nu factor
-    of ``bracket_weights``: the recurrence's pentagonal walk, in integers."""
+    of ``bracket_weights``: the recurrence's pentagonal walk, in integers.
+
+    One dot product of p(n - omega(k)) with each column of ``_weight_columns``,
+    built once to the table's end for every n of a table, folded by Horner's
+    rule in 24n."""
+    omegas, columns = _weight_columns(nu, len(ptable.values) - 1)
+    values = ptable.values
+    ps = [values[n - w] for w in omegas[: bisect_right(omegas, n)]]
+    v = 24 * n
     acc = 0
-    # one walk, to the table's end, serves every n of a table
-    for k, w in pentagonal_terms(len(ptable.values) - 1):
-        if w > n:
-            break
-        sign = 1 if k % 2 else -1
-        acc += sign * _weight_numerator(weights, n, k) * ptable.p(n - w)
+    for column in reversed(columns):
+        # map stops at the end of ps, the terms with omega(k) <= n
+        acc = acc * v + sum(map(mul, column, ps))
     return acc
+
+
+@lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 4 nu
+def _rhs_constants(nu: int) -> tuple[int, int, int]:
+    """(a, b, d) with a/d = E/F and b/d = 1/F, for E the Eisenstein constant
+    -(4 nu / B_{2nu}) C(2nu-2, nu-2) and F the factor of ``bracket_weights``."""
+    _, factor = bracket_weights(nu)
+    eis = -Fraction(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2) / factor
+    d = lcm(eis.denominator, factor.numerator)
+    return eis.numerator * (d // eis.denominator), factor.denominator * (d // factor.numerator), d
 
 
 def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> Fraction:
@@ -167,7 +213,10 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
     ``trace`` is the weight-2nu trace value for this n (zero whenever the
     cusp space is trivial).  The result equals p(n) when the trace is
     correct; returning a Fraction lets callers detect a wrong trace through
-    a non-integral value.
+    a non-integral value.  Divided by the factor F of ``bracket_weights``,
+    the numerator is (a/d) sigma + (b/d) trace + the integer walk
+    (``_rhs_constants``), so the value is one integer over another, reduced
+    once.
     """
     if nu < 2:
         raise ValueError("recurrence_rhs needs nu >= 2")
@@ -175,11 +224,12 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
         raise ValueError("recurrence_rhs needs n >= 1")
     if len(ptable.values) <= n:
         raise ValueError("partition table does not cover n")
-    weights, factor = bracket_weights(nu)
+    weights, _ = bracket_weights(nu)
     w0 = _weight_numerator(weights, n, 0)
     if w0 == 0:
         # cannot occur for n >= 1; guard kept so a regression is loud
         raise InternalCancellationError(f"vanishing k=0 weight at nu={nu}, n={n}")
-    eis = -Fraction(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2) * sigma(2 * nu - 1, n)
-    acc = pentagonal_numerator_sum(weights, n, ptable)
-    return (eis + trace + factor * acc) / (factor * w0)
+    a, b, d = _rhs_constants(nu)
+    tn, td = trace.numerator, trace.denominator
+    num = td * (a * sigma(2 * nu - 1, n) + d * pentagonal_numerator_sum(nu, n, ptable)) + b * tn
+    return Fraction(num, d * td * w0)

@@ -103,7 +103,7 @@ def eta_bracket_from_partitions(nu: int, prec: int) -> IntQSeries:
     ptable = partition_table(prec - 1)
     # the k = 0 term, less the recurrence's walk over k != 0
     nums = [
-        _weight_numerator(weights, n, 0) * ptable.p(n) - pentagonal_numerator_sum(weights, n, ptable)
+        _weight_numerator(weights, n, 0) * ptable.p(n) - pentagonal_numerator_sum(nu, n, ptable)
         for n in range(prec)
     ]
     return IntQSeries._make(0, nums).scale(factor)

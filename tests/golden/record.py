@@ -1,44 +1,70 @@
-"""Record the golden outputs of the Dirichlet layer from this checkout.
+"""Record the golden outputs of the CLI from this checkout.
 
 Run from the root of a checkout whose outputs are trusted:
 
-    PYTHONPATH=src python3 tests/golden/record.py
+    PYTHONPATH=src python3 tests/golden/record.py          # rewrite every file
+    PYTHONPATH=src python3 tests/golden/record.py --check  # diff, write nothing
 
-Each request runs in-process through ``cli.main``, and ``dirichlet.json``
-keeps its argv, exit code, stderr, and stdout without its ``timings``, the
-one part of the output that differs between runs.  ``tests/test_golden.py``
-runs the same requests and compares.  An intended output change reruns this
-script, and the diff of ``dirichlet.json`` records the change.
+``GOLDEN`` names each file of this directory and the requests it holds.
+Each request runs in-process through ``cli.main``, and its file keeps the
+argv, exit code, stderr, and stdout without its ``timings``, the one part
+of the output that differs between runs.  ``tests/test_golden.py`` runs the
+same requests and compares.  An intended output change reruns this script,
+and the diff of the files records the change; ``--check`` prints that diff
+as a unified diff and exits 1 when there is one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import difflib
 import io
 import json
 import os
 import re
 import sys
 
-GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "dirichlet.json")
+GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 
-REQUESTS = [
-    ["dirichlet", "6"],
-    ["dirichlet", "9"],
-    ["dirichlet", "12"],
-    ["dirichlet", "14"],
-    ["--big-n", "61", "dirichlet", "12"],
-    ["--big-n", "10000", "dirichlet", "6"],
-    ["--float-mode", "wide:30", "dirichlet", "6"],
-    ["--big-m", "3", "--float-mode", "wide:40", "dirichlet", "8"],
-    ["verify", "all"],
-    ["verify", "dirichlet"],
-    ["--format", "text", "dirichlet", "12"],
-    ["--format", "csv", "dirichlet", "6"],
-    ["dirichlet", "7"],
-    ["--big-n", "4", "dirichlet", "6"],
-]
+_PARTITION = ["partition", "1..240", "--method", "trace:6", "--cross-check"]
+
+GOLDEN: dict[str, list[list[str]]] = {
+    "dirichlet.json": [
+        ["dirichlet", "6"],
+        ["dirichlet", "9"],
+        ["dirichlet", "12"],
+        ["dirichlet", "14"],
+        ["--big-n", "61", "dirichlet", "12"],
+        ["--big-n", "10000", "dirichlet", "6"],
+        ["--float-mode", "wide:30", "dirichlet", "6"],
+        ["--big-m", "3", "--float-mode", "wide:40", "dirichlet", "8"],
+        ["verify", "all"],
+        ["verify", "dirichlet"],
+        ["--format", "text", "dirichlet", "12"],
+        ["--format", "csv", "dirichlet", "6"],
+        ["dirichlet", "7"],
+        ["--big-n", "4", "dirichlet", "6"],
+    ],
+    # the pentagonal recurrence, the brackets and their decomposition
+    "brackets.json": [
+        ["--prec", "120", "pnu", "12"],
+        _PARTITION,
+        ["trace", "6", "120"],
+        *(["partition", "1..60", "--method", f"trace:{nu}"] for nu in (2, 7, 13, 20)),
+        ["partition", "5", "--method", "trace:6", "--cross-check"],
+        *(["pnu", nu] for nu in ("0", "1", "2", "24")),
+        ["--prec", "200", "pnu", "12"],
+        ["gpoly", "6", "10", "--k", "-3..3"],
+        ["trace", "12", "40"],
+        ["--format", "csv", *_PARTITION],
+        ["--format", "text", *_PARTITION],
+    ],
+}
+
+
+def golden_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, name)
 
 
 def _timed(key: str) -> bool:
@@ -84,15 +110,35 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stderr": err.getvalue(), "stdout": without_timings(out.getvalue(), argv)}
 
 
-def main() -> int:
+def render(requests: list[list[str]]) -> str:
+    """The text of one golden file: the record of each request, in order."""
+    return json.dumps([run(argv) for argv in requests], indent=1) + "\n"
+
+
+def main(argv: list[str]) -> int:
     stray = sorted(name for name in os.environ if name.startswith("PENTARC_"))
     if stray:
         raise SystemExit(f"unset {', '.join(stray)}: the golden outputs use the default settings")
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump([run(argv) for argv in REQUESTS], fh, indent=1)
-        fh.write("\n")
-    return 0
+    check = argv == ["--check"]
+    if argv and not check:
+        raise SystemExit("usage: record.py [--check]")
+    differ = False
+    for name, requests in GOLDEN.items():
+        text = render(requests)
+        if not check:
+            with open(golden_path(name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+            continue
+        try:
+            with open(golden_path(name), encoding="utf-8") as fh:
+                committed = fh.read()
+        except FileNotFoundError:
+            committed = ""
+        diff = list(difflib.unified_diff(committed.splitlines(True), text.splitlines(True), name, f"{name} (now)"))
+        sys.stdout.writelines(diff)
+        differ = differ or bool(diff)
+    return int(differ)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -465,6 +465,13 @@ def test_partial_table_still_checks_the_domain():
     assert list(f.partials) == [60] and sorted(f.partials[60]) == list(range(13, 29, 2))
 
 
+def test_double_sum_needs_the_eigenform_weight():
+    f = embedded_eigenforms(6, 60)[0]
+    with pytest.raises(ValueError, match="nu = 7 does not match the weight-12 eigenform"):
+        dirichlet_double_sum(f, 7, 3, 60)
+    assert dirichlet_double_sum(f, 6, 3, 60) == _double_sum_reference(_embedded_full_range(6, 60)[0], 6, 3, 60, None)
+
+
 @pytest.fixture
 def work_counts(monkeypatch):
     """A reader of the work done since its last call: embedded_eigenforms

@@ -181,6 +181,29 @@ def test_decompose_rejects_outsiders():
         decompose(IntQSeries(-1, [1] * 17), sp)
 
 
+def test_decompose_residual_check_reads_every_coefficient():
+    """A single numerator off by one, at the first unsolved coefficient or at
+    the last checked one, is caught at that n; a combination with fractional
+    coordinates decomposes over a denominator that is not 1."""
+    sp = space_basis(24, 30)
+    coords = [F(1, 3), F(-5, 7), F(2, 11)]
+    f = None
+    for c, m in zip(coords, sp.basis):
+        term = m.scale(c)
+        f = term if f is None else f + term
+    assert f.den != 1
+    assert decompose(f, sp) == coords
+    check_prec = min(f.prec, sp.prec)
+    for n in (sp.dim_total, check_prec - 1):
+        nums = list(f.coeffs)
+        nums[n] += 1
+        with pytest.raises(NotInSpaceError, match=rf"residual at q\^{n}:"):
+            decompose(IntQSeries._make(0, nums, f.den), sp)
+    # a longer f is checked through the space's precision only
+    longer = IntQSeries._make(0, [*f.coeffs, 1], f.den)
+    assert decompose(longer, sp) == coords
+
+
 def test_eta24_downconversion_matches_delta():
     eta = eta_expansion(24 * 10 + 2)
     assert to_int_series(eta.pow(24)).agrees_with(delta(10))

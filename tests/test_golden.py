@@ -1,22 +1,29 @@
 """Golden outputs: each recorded request prints what ``tests/golden/`` holds,
 byte for byte outside ``timings``, with the same stderr and exit code.
 
-``tests/golden/record.py`` records the file from a trusted checkout; an
+``tests/golden/record.py`` records the files from a trusted checkout; an
 intended output change reruns it.
 """
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import pentarc
-from golden.record import GOLDEN_PATH, REQUESTS, run, without_timings
+from golden import record
+from golden.record import GOLDEN, golden_path, run, without_timings
 
-with open(GOLDEN_PATH, encoding="utf-8") as fh:
-    GOLDEN = json.load(fh)
+
+def _load(name: str) -> list[dict]:
+    with open(golden_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+RECORDS = [(name, record) for name in GOLDEN for record in _load(name)]
 
 
 @pytest.fixture(autouse=True)
@@ -26,21 +33,42 @@ def default_settings(monkeypatch):
 
 
 def test_golden_file_holds_every_request():
-    assert [record["argv"] for record in GOLDEN] == REQUESTS
+    for name, requests in GOLDEN.items():
+        assert [record["argv"] for record in _load(name)] == requests, name
 
 
-@pytest.mark.parametrize("golden", GOLDEN, ids=lambda record: " ".join(record["argv"]))
-def test_request_prints_its_golden_output(golden):
+# ids are the argv alone: no request appears in two files
+@pytest.mark.parametrize("name, golden", RECORDS, ids=[" ".join(record["argv"]) for _, record in RECORDS])
+def test_request_prints_its_golden_output(name, golden):
     assert run(golden["argv"]) == golden
 
 
 def test_fresh_process_prints_its_golden_output():
-    (golden,) = [record for record in GOLDEN if record["argv"] == ["dirichlet", "6"]]
     env = {k: v for k, v in os.environ.items() if not k.startswith("PENTARC_")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pentarc.__file__))
-    fresh = subprocess.run([sys.executable, "-m", "pentarc.cli", *golden["argv"]], env=env, capture_output=True, text=True)
-    got = {"argv": golden["argv"], "exit": fresh.returncode, "stderr": fresh.stderr}
-    assert {**got, "stdout": without_timings(fresh.stdout, golden["argv"])} == golden
+    for name, argv in [
+        ("dirichlet.json", ["dirichlet", "6"]),
+        ("brackets.json", ["partition", "5", "--method", "trace:6", "--cross-check"]),
+    ]:
+        (golden,) = [record for record in _load(name) if record["argv"] == argv]
+        fresh = subprocess.run([sys.executable, "-m", "pentarc.cli", *argv], env=env, capture_output=True, text=True)
+        got = {"argv": argv, "exit": fresh.returncode, "stderr": fresh.stderr}
+        assert {**got, "stdout": without_timings(fresh.stdout, argv)} == golden
+
+
+def test_check_mode_prints_a_diff_and_writes_nothing(monkeypatch, capsys, tmp_path):
+    committed = pathlib.Path(golden_path("dirichlet.json")).read_bytes()
+    (tmp_path / "dirichlet.json").write_bytes(committed)
+    monkeypatch.setattr(record, "GOLDEN_DIR", str(tmp_path))
+    monkeypatch.setattr(record, "GOLDEN", {"dirichlet.json": GOLDEN["dirichlet.json"][:1]})
+    assert record.main(["--check"]) == 1
+    diff = capsys.readouterr().out
+    assert diff.startswith("--- dirichlet.json\n+++ dirichlet.json (now)\n")
+    assert all(line[0] in " -@" for line in diff.splitlines()[2:])
+    assert [p.name for p in tmp_path.iterdir()] == ["dirichlet.json"]
+    assert (tmp_path / "dirichlet.json").read_bytes() == committed
+    monkeypatch.setattr(record, "GOLDEN", {"dirichlet.json": GOLDEN["dirichlet.json"]})
+    assert record.main(["--check"]) == 0 and capsys.readouterr().out == ""
 
 
 def test_timings_are_dropped_at_every_depth():

@@ -196,6 +196,7 @@ def test_cached_results_are_immutable():
         (rademacher.kloosterman(5, -24, 24), "value"),
         (dirichlet.petersson_norm_estimate(12, 10, 50), "estimates"),
         (dirichlet.embedded_eigenforms(12, 50)[0], "terms"),
+        (partitions._weight_columns(6, 40), "columns"),
     ]
     for result, field in fields:
         with pytest.raises(AttributeError):

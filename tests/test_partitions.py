@@ -1,16 +1,18 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from pentarc.forms import dim_cusp
 from pentarc.hecke import trace_series
-from pentarc.exactnum import falling_factorial
+from pentarc.exactnum import bernoulli, falling_factorial
 from pentarc.partitions import (
     PartitionTable,
+    _weight_numerator,
     bracket_weights,
     partition_table,
     pentagonal,
+    pentagonal_numerator_sum,
     pentagonal_terms,
     recurrence_rhs,
     recurrence_weight,
@@ -173,3 +175,37 @@ def test_recurrence_rhs_detects_wrong_trace():
     table = partition_table(10)
     value = recurrence_rhs(6, 3, F(1, 7), table)
     assert value.denominator != 1
+
+
+def _walk_by_horner(nu, n, table):
+    """The pentagonal walk term by term, each weight by ``_weight_numerator``."""
+    weights, _ = bracket_weights(nu)
+    terms = [(k, w) for k, w in pentagonal_terms(len(table.values) - 1) if w <= n]
+    return sum((1 if k % 2 else -1) * _weight_numerator(weights, n, k) * table.p(n - w) for k, w in terms)
+
+
+def test_pentagonal_numerator_sum_matches_horner():
+    tables = [partition_table(300), partition_table(37)]
+    for nu in (0, 1, 2, 6, 12, 50):
+        for table in tables:
+            n_max = len(table.values) - 1
+            for n in range(n_max + 1):  # n = n_max reads the table's last entry
+                assert pentagonal_numerator_sum(nu, n, table) == _walk_by_horner(nu, n, table), (nu, n_max, n)
+
+
+def _rhs_by_fractions(nu, n, trace, table):
+    """The recurrence's right-hand side in Fraction arithmetic, term by term."""
+    weights, factor = bracket_weights(nu)
+    eis = -F(4 * nu) / bernoulli(2 * nu) * comb(2 * nu - 2, nu - 2) * sigma(2 * nu - 1, n)
+    return (eis + trace + factor * _walk_by_horner(nu, n, table)) / (factor * _weight_numerator(weights, n, 0))
+
+
+def test_recurrence_rhs_with_a_wrong_trace_matches_fractions():
+    table = partition_table(60)
+    for nu in (2, 6, 9, 12, 20):
+        traces = trace_series(nu, 60) if dim_cusp(2 * nu) else None
+        for n in (1, 2, 17, 60):
+            trace = (traces.value(n) if traces else F(0)) + F(1, 7)
+            value = recurrence_rhs(nu, n, trace, table)
+            assert value == _rhs_by_fractions(nu, n, trace, table), (nu, n)
+            assert value.denominator != 1, (nu, n)
