@@ -28,7 +28,7 @@ from . import dirichlet as dmod
 from . import forms, hecke, partitions, rademacher, rankincohen, verify
 from .errors import InternalCancellationError, NotInSpaceError, PentarcError
 from .qseries import DEFAULT_PREC
-from .serialize import jsonable
+from .serialize import dumps, jsonable
 
 ENV_PREFIX = "PENTARC_"
 FORMATS = ("json", "csv", "text")
@@ -164,9 +164,9 @@ def _flat(obj, prefix=""):
 
 
 def _render(payload: dict, fmt: str) -> str:
-    data = jsonable(payload)
     if fmt == "json":
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return dumps(payload)
+    data = jsonable(payload)
     if fmt == "text":
         flat = _flat(data)
         return "".join(f"{k}: {v}\n" for k, v in flat.items())

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -88,17 +88,23 @@ def partition_table(n_max: int) -> PartitionTable:
 
 
 def sigma(m: int, n: int) -> int:
-    """Divisor power sum sigma_m(n) = sum over d | n of d^m."""
+    """Divisor power sum sigma_m(n) = sum over d | n of d^m.
+
+    Multiplicative: the product over the prime powers q^e exactly dividing n
+    of 1 + q^m + ... + q^(em), with n factored by trial division."""
     if n < 1:
         raise ValueError("sigma needs n >= 1")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**m
-            e = n // d
-            if e != d:
-                total += e**m
-    return total
+    total = 1
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            qm, part = q**m, 1
+            while n % q == 0:
+                n //= q
+                part = part * qm + 1
+            total *= part
+        q += 1 if q == 2 else 2
+    return total * (n**m + 1) if n > 1 else total
 
 
 @lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 14 nu
@@ -149,22 +155,33 @@ def recurrence_weight(nu: int, n: int, k: int) -> Fraction:
     return factor * _weight_numerator(weights, n, k)
 
 
-class WeightColumns(NamedTuple):
-    """The signed weights of the pentagonal walk to n_max, by powers of 24n.
+class PackedWeights(NamedTuple):
+    """The signed weights of the pentagonal walk to n_max, Kronecker-packed.
 
     ``omegas[m]`` is omega(k) for the m-th k of ``pentagonal_terms(n_max)``,
-    and ``columns[i][m]`` is (-1)^(k+1) e_i u^(nu-i) for that k, where
-    u = (6k+1)^2 and W(n, k) = sum_i e_i (24n)^i u^(nu-i).
+    and ``keys[m]`` packs c_i(m) = (-1)^(k+1) e_i u^(nu-i), u = (6k+1)^2, for
+    i = 0..nu, where W(n, k) = sum_i e_i (24n)^i u^(nu-i).  ``slots[i]`` is
+    (start, end, half): slot i is bytes start..end of a ``width``-byte int,
+    offset by half its range, and ``bias`` is the sum of those offsets.
     """
 
     omegas: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
+    keys: tuple[int, ...]
+    slots: tuple[tuple[int, int, int], ...]
+    bias: int
+    width: int
 
 
 @lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 11 (nu, n_max)
-def _weight_columns(nu: int, n_max: int) -> WeightColumns:
-    """W(n, k) = sum_j w_j (24n - u)^j u^(nu-j) expanded in powers of 24n:
-    e_i = sum_{j >= i} (-1)^(j-i) C(j, i) w_j, for the w_j of ``bracket_weights``."""
+def _weight_columns(nu: int, n_max: int) -> PackedWeights:
+    """W(n, k) = sum_j w_j (24n - u)^j u^(nu-j) expanded in powers of 24n,
+    e_i = sum_{j >= i} (-1)^(j-i) C(j, i) w_j for the w_j of
+    ``bracket_weights``, its columns c_i packed into one int per k.
+
+    Slot i holds D_i(n) for every n <= n_max: |D_i(n)| <= sum_m |c_i(m)| p(n_max)
+    < 2^(bits(sum_m |c_i(m)|) + bits(p(n_max))), so the slot takes that many
+    bits and a sign bit, rounded up to whole bytes, and is offset by half its
+    range (the bias) so that every slot of the sum reads as an unsigned int."""
     weights, _ = bracket_weights(nu)
     e = [sum((-1) ** (j - i) * comb(j, i) * weights[j] for j in range(i, nu + 1)) for i in range(nu + 1)]
     terms = pentagonal_terms(n_max)
@@ -175,7 +192,18 @@ def _weight_columns(nu: int, n_max: int) -> WeightColumns:
         for i in range(nu, -1, -1):
             columns[i].append(e[i] * u_pow)
             u_pow *= u
-    return WeightColumns(tuple(w for _, w in terms), tuple(map(tuple, columns)))
+    p_bits = partition_table(n_max).values[-1].bit_length()
+    slots, width = [], 0
+    for column in columns:
+        size = (sum(map(abs, column)).bit_length() + p_bits + 8) // 8
+        slots.append((width, width + size, 1 << (8 * size - 1)))
+        width += size
+    bias = sum(half << (8 * start) for start, _, half in slots)
+    keys = tuple(
+        int.from_bytes(b"".join((c + h).to_bytes(b - a, "little") for c, (a, b, h) in zip(cs, slots)), "little") - bias
+        for cs in zip(*columns)
+    )
+    return PackedWeights(tuple(w for _, w in terms), keys, tuple(slots), bias, width)
 
 
 def pentagonal_numerator_sum(nu: int, n: int, ptable: PartitionTable) -> int:
@@ -183,17 +211,21 @@ def pentagonal_numerator_sum(nu: int, n: int, ptable: PartitionTable) -> int:
     where W(n, k) = ``_weight_numerator`` is w_nu(n, k) over the per-nu factor
     of ``bracket_weights``: the recurrence's pentagonal walk, in integers.
 
-    One dot product of p(n - omega(k)) with each column of ``_weight_columns``,
-    built once to the table's end for every n of a table, folded by Horner's
-    rule in 24n."""
-    omegas, columns = _weight_columns(nu, len(ptable.values) - 1)
+    ``ptable`` is ``partition_table``'s, to some n_max >= n.  One dot product of
+    p(n - omega(k)) with the packed weights of ``_weight_columns``, built once
+    to n_max for every n of a table, gives every D_i(n) at once; they are read
+    from its bytes and folded by Horner's rule in 24n."""
     values = ptable.values
+    if not 0 <= n < len(values):
+        raise ValueError(f"partition table covers n in 0..{len(values) - 1}, got {n}")
+    omegas, keys, slots, bias, width = _weight_columns(nu, len(values) - 1)
+    # map stops at the end of ps, the terms with omega(k) <= n
     ps = [values[n - w] for w in omegas[: bisect_right(omegas, n)]]
+    raw = (sum(map(mul, keys, ps)) + bias).to_bytes(width, "little")
     v = 24 * n
     acc = 0
-    for column in reversed(columns):
-        # map stops at the end of ps, the terms with omega(k) <= n
-        acc = acc * v + sum(map(mul, column, ps))
+    for start, end, half in reversed(slots):
+        acc = acc * v + int.from_bytes(raw[start:end], "little") - half
     return acc
 
 

@@ -8,8 +8,10 @@ Run from the root of a checkout whose outputs are trusted:
 ``GOLDEN`` names each file of this directory and the requests it holds.
 Each request runs in-process through ``cli.main``, and its file keeps the
 argv, exit code, stderr, and stdout without its ``timings``, the one part
-of the output that differs between runs.  ``tests/test_golden.py`` runs the
-same requests and compares.  An intended output change reruns this script,
+of the output that differs between runs.  A request that argparse ends
+(``--help``, a malformed request) is recorded with the code it exits with,
+its help and usage wrapped at 80 columns whatever the terminal.
+``tests/test_golden.py`` runs the same requests and compares.  An intended output change reruns this script,
 and the diff of the files records the change; ``--check`` prints that diff
 as a unified diff and exits 1 when there is one.
 """
@@ -24,9 +26,11 @@ import json
 import os
 import re
 import sys
+from unittest import mock
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 
+_COMMANDS = ("partition", "pnu", "gpoly", "trace", "eigenforms", "dirichlet", "rademacher", "verify")
 _PARTITION = ["partition", "1..240", "--method", "trace:6", "--cross-check"]
 
 GOLDEN: dict[str, list[list[str]]] = {
@@ -60,7 +64,29 @@ GOLDEN: dict[str, list[list[str]]] = {
         ["--format", "csv", *_PARTITION],
         ["--format", "text", *_PARTITION],
     ],
+    # every other command's JSON, the help texts, and requests refused with exit 2
+    "commands.json": [
+        ["rademacher", "1..50"],
+        ["rademacher", "236..250"],
+        ["partition", "0..300", "--method", "euler"],
+        ["partition", "1..120", "--method", "rademacher:30"],
+        ["eigenforms", "12"],
+        ["eigenforms", "24"],
+        ["--format", "text", "rademacher", "1..5"],
+        ["--help"],
+        *([command, "--help"] for command in _COMMANDS),
+        ["partition"],
+        ["--format", "xml", "pnu", "6"],
+        ["rademacher", "0"],
+        ["partition", "1..10", "--method", "trace:1"],
+        ["eigenforms", "13"],
+    ],
 }
+
+#: n whose recorded ``rademacher`` ``nearest`` is p(n) plus this offset, not
+#: p(n): the binary64 Kloosterman-Bessel sum's known wrong answers (ROADMAP
+#: item 1).  Every other recorded ``nearest`` is p(n).
+KNOWN_WRONG_PN = {236: -1, 247: -1, 248: -1, 250: 1}
 
 
 def golden_path(name: str) -> str:
@@ -81,8 +107,9 @@ def _drop_timings(data):
 
 
 def without_timings(stdout: str, argv: list[str]) -> str:
-    """``stdout`` with every ``timings`` key removed, at every depth, in the format ``argv`` asks for."""
-    if not stdout:
+    """``stdout`` with every ``timings`` key removed, at every depth, in the format ``argv`` asks for.
+    A help text has no ``timings`` and is kept whole."""
+    if not stdout or "--help" in argv:
         return stdout
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     if fmt == "text":
@@ -105,8 +132,12 @@ def run(argv: list[str]) -> dict:
     from pentarc.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    # argparse wraps help and usage to the terminal's width
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse exits on --help and on a malformed request
+            code = exc.code
     return {"argv": argv, "exit": code, "stderr": err.getvalue(), "stdout": without_timings(out.getvalue(), argv)}
 
 

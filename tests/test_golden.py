@@ -15,7 +15,8 @@ import pytest
 
 import pentarc
 from golden import record
-from golden.record import GOLDEN, golden_path, run, without_timings
+from golden.record import GOLDEN, KNOWN_WRONG_PN, golden_path, run, without_timings
+from pentarc.partitions import partition_table
 
 
 def _load(name: str) -> list[dict]:
@@ -41,6 +42,23 @@ def test_golden_file_holds_every_request():
 @pytest.mark.parametrize("name, golden", RECORDS, ids=[" ".join(record["argv"]) for _, record in RECORDS])
 def test_request_prints_its_golden_output(name, golden):
     assert run(golden["argv"]) == golden
+
+
+def test_recorded_partition_numbers_are_right_but_the_known_wrong():
+    """Each recorded p(n) is p(n), except the Rademacher ``nearest`` values
+    that ``KNOWN_WRONG_PN`` marks, which are off by exactly their offset."""
+    table = partition_table(300)
+    wrong = {}
+    for _, golden in RECORDS:
+        if golden["exit"] or "--help" in golden["argv"] or "--format" in golden["argv"]:
+            continue
+        results = json.loads(golden["stdout"]).get("results")
+        for result in results if isinstance(results, list) else ():
+            n, value = result.get("n"), result.get("nearest", result.get("value"))
+            if isinstance(value, int) and isinstance(n, int) and n <= 300 and value != table.p(n):
+                assert golden["argv"][0] == "rademacher", (golden["argv"], n)
+                wrong[n] = value - table.p(n)
+    assert wrong == KNOWN_WRONG_PN
 
 
 def test_fresh_process_prints_its_golden_output():

@@ -73,6 +73,19 @@ def test_imports_follow_the_layers():
         assert package_imports(PACKAGE / f"{name}.py") == allowed, name
 
 
+def test_no_module_imports_sympy():
+    """sympy is a test oracle (tests/test_oracles.py), never a dependency of the package."""
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "sympy" for name in names), f"{path.stem}:{node.lineno}"
+
+
 def test_layers_are_acyclic():
     done: set[str] = set()
 
@@ -196,7 +209,7 @@ def test_cached_results_are_immutable():
         (rademacher.kloosterman(5, -24, 24), "value"),
         (dirichlet.petersson_norm_estimate(12, 10, 50), "estimates"),
         (dirichlet.embedded_eigenforms(12, 50)[0], "terms"),
-        (partitions._weight_columns(6, 40), "columns"),
+        (partitions._weight_columns(6, 40), "keys"),
     ]
     for result, field in fields:
         with pytest.raises(AttributeError):

@@ -8,6 +8,7 @@ from pentarc.hecke import trace_series
 from pentarc.exactnum import bernoulli, falling_factorial
 from pentarc.partitions import (
     PartitionTable,
+    _weight_columns,
     _weight_numerator,
     bracket_weights,
     partition_table,
@@ -82,6 +83,7 @@ def test_sigma_values():
     assert sigma(3, 1) == 1
     assert sigma(3, 4) == 73
     assert sigma(11, 2) == 2049
+    assert sigma(0, 720) == 30 and sigma(1, 97) == 98 and sigma(2, 2**10) == (4**11 - 1) // 3
 
 
 def test_recurrence_weight_closed_forms():
@@ -186,11 +188,59 @@ def _walk_by_horner(nu, n, table):
 
 def test_pentagonal_numerator_sum_matches_horner():
     tables = [partition_table(300), partition_table(37)]
-    for nu in (0, 1, 2, 6, 12, 50):
+    for nu in (0, 1, 2, 6, 12, 50, 200):
         for table in tables:
             n_max = len(table.values) - 1
-            for n in range(n_max + 1):  # n = n_max reads the table's last entry
+            # n = n_max reads the table's last entry, where |D_i(n)| is largest;
+            # order 200 walks one n in twenty of the long table, at its ends too
+            ns = range(n_max + 1) if nu < 200 or n_max < 100 else (*range(0, n_max, 20), n_max - 1, n_max)
+            for n in ns:
                 assert pentagonal_numerator_sum(nu, n, table) == _walk_by_horner(nu, n, table), (nu, n_max, n)
+
+
+def _slots(x: int, slots, bias: int, width: int) -> list[int]:
+    """The signed value in each slot of a packed int, read as the walk reads them."""
+    raw = (x + bias).to_bytes(width, "little")
+    return [int.from_bytes(raw[start:end], "little") - half for start, end, half in slots]
+
+
+def test_packed_weights_hold_every_partial_sum():
+    """Slot i of the packed weights is sized by its documented bound, and
+    holds D_i(n) = sum_m c_i(m) p(n - omega_m) for every n <= n_max."""
+    for nu, n_max in ((0, 40), (1, 40), (2, 100), (6, 240), (12, 300), (50, 120), (200, 60)):
+        omegas, keys, slots, bias, width = _weight_columns(nu, n_max)
+        values = partition_table(n_max).values
+        weights, _ = bracket_weights(nu)
+        terms = pentagonal_terms(n_max)
+        assert omegas == tuple(w for _, w in terms)
+        # slots tile the packed int from its lowest byte, in the order of i
+        assert [start for start, _, _ in slots] == [0, *(end for _, end, _ in slots[:-1])]
+        assert slots[-1][1] == width and len(slots) == nu + 1
+        assert bias == sum(half << (8 * start) for start, _, half in slots)
+        rows = [_slots(key, slots, bias, width) for key in keys]  # rows[m][i] = c_i(m)
+        for (k, w), row in zip(terms, rows):
+            # the weight's coefficients in powers of 24n, checked at two n
+            for n in (w, n_max):
+                want = (1 if k % 2 else -1) * _weight_numerator(weights, n, k)
+                assert sum(c * (24 * n) ** i for i, c in enumerate(row)) == want, (nu, k, n)
+        columns = list(zip(*rows))
+        for column, (start, end, half) in zip(columns, slots):
+            assert end - start == (sum(map(abs, column)).bit_length() + values[-1].bit_length() + 8) // 8
+            assert half == 1 << (8 * (end - start) - 1)
+        for n in range(n_max + 1):
+            ps = [values[n - w] for w in omegas if w <= n]
+            partials = [sum(c * p for c, p in zip(column, ps)) for column in columns]
+            assert all(abs(d) < half for d, (_, _, half) in zip(partials, slots)), (nu, n)
+            assert _slots(sum(key * p for key, p in zip(keys, ps)), slots, bias, width) == partials, (nu, n)
+
+
+def test_pentagonal_numerator_sum_rejects_n_past_the_table():
+    """The walk reads no further than the table: past its end it raises,
+    where it once dropped the terms with omega(k) beyond the table."""
+    assert pentagonal_numerator_sum(6, 22, partition_table(22)) == -355461028044148174848
+    for nu, n, n_max in ((6, 22, 21), (2, 26, 25), (6, 40, 20), (6, -1, 20)):
+        with pytest.raises(ValueError, match="partition table covers n in 0.."):
+            pentagonal_numerator_sum(nu, n, partition_table(n_max))
 
 
 def _rhs_by_fractions(nu, n, trace, table):

@@ -1,13 +1,18 @@
+import json
 from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentarc.dirichlet import NormEstimate
 from pentarc.exactnum import QuadNum
 from pentarc.qseries import IntQSeries, QSeries24
 from pentarc.rademacher import KloostermanSum, RademacherEstimate
 from pentarc.serialize import (
+    dumps,
     float_str,
     int_series_dict,
     jsonable,
@@ -72,3 +77,54 @@ def test_jsonable_rejects_what_the_cli_never_emits(leaf, name):
     TypeError naming its type instead of reaching json.dumps unconverted."""
     with pytest.raises(TypeError, match=f"cannot convert a {name}$"):
         jsonable({"r": [(1, leaf)]})
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028\U0001f600ab') | st.characters(), max_size=8)
+_FLOAT = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308])
+_INT = st.integers() | st.booleans() | st.sampled_from([10**3999 + 7, -(10**3999) - 3, -1])
+_FRACTION = st.fractions() | st.integers(-5, 5).map(F)
+_LEAF = (
+    _TEXT | _INT | _FRACTION | _FLOAT | st.none()
+    | st.builds(QuadNum, _FRACTION, _FRACTION, st.sampled_from([1, 2, 5, 144169]))
+    | st.builds(IntQSeries, st.integers(-3, 3), st.lists(_FRACTION, min_size=1, max_size=4))
+)
+#: nested payloads; dict keys are mostly str, and json's rule for the rest
+#: (int keys convert, mixed kinds fail to sort) must hold too
+_PAYLOAD = st.recursive(
+    _LEAF,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT | st.integers(-3, 3), children, max_size=4)
+    | st.builds(_Pair, children, children),
+    max_leaves=24,
+)
+WRITER = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _outcome(write, payload):
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@WRITER
+@given(_PAYLOAD)
+def test_dumps_writes_what_json_dumps_writes(payload):
+    """One walk gives json.dumps's bytes for the converted payload, or its error."""
+    want = _outcome(lambda x: json.dumps(jsonable(x), indent=2, sort_keys=True) + "\n", payload)
+    assert _outcome(dumps, payload) == want
+
+
+def test_dumps_rejects_what_jsonable_rejects():
+    for payload in (1j, {"r": [_Pair(1, 2.5 - 1j)]}, {(1, 2): 3}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(jsonable(payload), indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            dumps(payload)
+        assert str(got.value) == str(want.value)
