@@ -20,8 +20,14 @@ The Kloosterman layer is a table.  A phase numerator depends on m and n
 only mod 24c, and with n a multiple of 24 so does K_c only on n mod c:
 each K_c is a sequential complex sum of its phi(c) terms, computed once per
 (c, m mod 24c, n mod 24c) in a bounded LRU cache, so a warm pass evaluates
-no Kloosterman sum.  The values are the same floats, bit for bit, as a
-fresh per-call sum in the same row order.
+no Kloosterman sum.  A cold K_c is one pass over the coset rows of c,
+each phase numerator reduced mod 24c and its summand added in the same
+step; the values are the same floats, bit for bit, as a fresh per-call
+sum in the same row order.
+
+Below x = 1 the bracket of I_{3/2} is a Taylor sum, each term x^2 times a
+ratio of small integers times the last.  The ratios are a table of float
+pairs for k = 2..11, and every x < 1 stops the sum by k = 11.
 Partial sums over c <= C round to p(n); the residual imaginary part is
 reported, never discarded.
 """
@@ -124,26 +130,25 @@ def _pair_data(c: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(rows)
 
 
-def _phase_numerators(c: int, m: int, n: int) -> list[tuple[int, int]]:
-    """(sign, r) per coset, contributing sign * exp(2 pi i r / (24c)).
-
-    The weight 1/conj(eps) equals eps itself (|eps| = 1), so the phase
-    numerator is e*c + (m + kappa) a + (n + kappa) d  (mod 24c).
-    """
-    mk, nk = m + CUSP_PARAMETER, n + CUSP_PARAMETER
-    return [(sign, (e * c + mk * a + nk * d) % (24 * c)) for sign, e, a, d in _pair_data(c)]
-
-
 # Holds K_c(m, .) for one m and every n mod c of every c <= 255 (32,640
 # entries), or a walk over c <= MAX_DEPTH_C for each of 32 values of n.
 @lru_cache(maxsize=1 << 15)
 def _kloosterman_sum(c: int, m: int, n: int) -> KloostermanSum:
-    """K_c summed in coset-row order; m and n reduced mod 24c."""
-    terms = _phase_numerators(c, m, n)
+    """K_c summed in coset-row order; m and n reduced mod 24c.
+
+    Each coset contributes sign * exp(2 pi i r / (24c)).  The weight
+    1/conj(eps) equals eps itself (|eps| = 1), so the phase numerator is
+    r = e*c + (m + kappa) a + (n + kappa) d  (mod 24c).
+    """
+    rows = _pair_data(c)
+    mk, nk = m + CUSP_PARAMETER, n + CUSP_PARAMETER
+    period = 24 * c
+    two_pi = 2.0 * math.pi
+    den = 24.0 * c
     value = 0j
-    for sign, r in terms:
-        value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
-    return KloostermanSum(c, value, len(terms))
+    for sign, e, a, d in rows:
+        value += sign * cmath.exp(1j * (two_pi * ((e * c + mk * a + nk * d) % period) / den))
+    return KloostermanSum(c, value, len(rows))
 
 
 def kloosterman(c: int, m: int, n: int) -> KloostermanSum:
@@ -160,23 +165,35 @@ def kloosterman(c: int, m: int, n: int) -> KloostermanSum:
     return _kloosterman_sum(c, m % period, n % period)
 
 
-def bessel_i32(x: float) -> float:
-    """I_{3/2}(x) = sqrt(2/(pi x)) (cosh x - sinh x / x).
+#: (2k, (2k - 2)(2k)(2k + 1)) for k = 2..11, as floats: the x^(2k) term of
+#: cosh x - sinh x / x is x^2 * 2k / ((2k - 2)(2k)(2k + 1)) times the
+#: x^(2k - 2) term.  Just below x = 1 the x^22 term is about 2e-21 of the
+#: sum and the x^20 term about 1e-18, so the sum stops at k = 11 there, and
+#: earlier for smaller x.
+_TAYLOR_RATIOS = tuple((float(2 * k), float((2 * k - 2) * (2 * k) * (2 * k + 1))) for k in range(2, 12))
 
-    The bracket is evaluated by its even Taylor series for small x, where
-    the direct difference loses precision to cancellation.
+
+def bessel_i32(x: float) -> float:
+    """I_{3/2}(x) = sqrt(2/(pi x)) (cosh x - sinh x / x), for finite x >= 1e-100.
+
+    The bracket is evaluated by its even Taylor series for x < 1, where the
+    direct difference loses precision to cancellation.  The series stops at
+    its first term under 1e-20 of the sum; the loop runs over the k = 2..11
+    ratio table, so it ends even where that test never passes.  Below about
+    1e-143, 1e-20 of the sum is subnormal, the test fails and the sum loses
+    digits; so x under 1e-100 raise ValueError, as do inf and nan.  Past
+    x = 710, cosh x raises OverflowError.
     """
-    if x <= 0:
-        raise ValueError("bessel_i32 needs x > 0")
+    if not 1e-100 <= x < math.inf:
+        raise ValueError(f"bessel_i32 needs a finite x >= 1e-100, got {x!r}")
     if x < 1.0:
         # cosh x - sinh x / x = sum_{k>=1} x^(2k) * 2k / (2k+1)!
+        xx = x * x
         core = 0.0
-        term = x * x / 3.0  # k = 1
-        k = 1
-        while True:
+        term = xx / 3.0  # k = 1
+        for a, d in _TAYLOR_RATIOS:
             core += term
-            k += 1
-            term *= x * x * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+            term *= xx * a / d
             if term < 1e-20 * core:
                 break
     else:
@@ -212,10 +229,12 @@ def rademacher_pn(n: int, depth: int = 50) -> RademacherEstimate:
     # K_c sums one representative per coset (phi(c) terms), so the
     # prefactor is the classical 2 pi.
     pref = -(1j ** 2.5) * (2.0 * math.pi) * x24 ** -0.75
+    # the Bessel argument pi sqrt(24n - 1) / (6c), rounded as written
+    root = math.pi * math.sqrt(x24)
     acc = 0j
     for c in range(1, depth + 1):
         kc = kloosterman(c, -24, idx)
-        x = math.pi * math.sqrt(x24) / (6.0 * c)
+        x = root / (6.0 * c)
         try:
             acc += kc.value / c * bessel_i32(x)
         except OverflowError:

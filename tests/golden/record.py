@@ -70,6 +70,11 @@ GOLDEN: dict[str, list[list[str]]] = {
         ["rademacher", "236..250"],
         ["partition", "0..300", "--method", "euler"],
         ["partition", "1..120", "--method", "rademacher:30"],
+        # K_c rows past the default depth, the x >= 1 Bessel branch at the
+        # binary64 edge, and the one-term series
+        ["--depth-c", "120", "rademacher", "1..30"],
+        ["rademacher", "76716"],
+        ["partition", "1..20", "--method", "rademacher:1"],
         ["eigenforms", "12"],
         ["eigenforms", "24"],
         ["--format", "text", "rademacher", "1..5"],
@@ -83,10 +88,14 @@ GOLDEN: dict[str, list[list[str]]] = {
     ],
 }
 
-#: n whose recorded ``rademacher`` ``nearest`` is p(n) plus this offset, not
-#: p(n): the binary64 Kloosterman-Bessel sum's known wrong answers (ROADMAP
-#: item 1).  Every other recorded ``nearest`` is p(n).
-KNOWN_WRONG_PN = {236: -1, 247: -1, 248: -1, 250: 1}
+#: request -> {n: offset} for each recorded Rademacher p(n) that is p(n) plus
+#: this offset, not p(n): the binary64 Kloosterman-Bessel sum's known wrong
+#: answers at depth 50, and the one-term series, which leaves p(n) from
+#: n = 11 on (ROADMAP item 1).  Every other recorded p(n) is p(n).
+KNOWN_WRONG_PN = {
+    "rademacher 236..250": {236: -1, 247: -1, 248: -1, 250: 1},
+    "partition 1..20 --method rademacher:1": {n: (-1) ** (n + 1) for n in range(11, 21)},
+}
 
 
 def golden_path(name: str) -> str:

@@ -8,7 +8,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from pentarc.partitions import sigma
+from pentarc.arith import kronecker_symbol
+from pentarc.partitions import partition_table, sigma
 
 #: m of sigma_m: the weights 2nu - 1 the recurrence reads (nu = 2, 6, 12, 200) and m = 1
 SIGMA_M = (1, 3, 11, 23, 399)
@@ -27,3 +28,17 @@ def test_sigma_matches_sympy_divisor_sigma():
     for m in SIGMA_M:
         for n in ns:
             assert sigma(m, n) == sympy.divisor_sigma(n, m), (m, n)
+
+
+def test_kronecker_symbol_matches_sympy():
+    """(a|n) builds every coset row's eta multiplier: (d|c) for odd c, (c|d) for even c."""
+    for a in range(-30, 31):
+        for n in range(1, 200):
+            assert kronecker_symbol(a, n) == sympy.kronecker_symbol(a, n), (a, n)
+
+
+def test_partition_table_matches_sympy_partition():
+    # 236 is the first n the depth-50 Rademacher sum gets wrong
+    table = partition_table(10**4)
+    for n in (236, 300, 1000, 10**4):
+        assert table.p(n) == sympy.partition(n), n

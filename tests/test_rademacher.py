@@ -1,7 +1,11 @@
 import ast
 import cmath
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
 from math import gcd
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentarc import rademacher
+from pentarc.cli import main
 from pentarc.errors import PrecisionError
 from pentarc.partitions import partition_table
 from pentarc.rademacher import (
@@ -21,12 +26,12 @@ from pentarc.rademacher import (
     Root24,
     _kloosterman_sum,
     _pair_data,
-    _phase_numerators,
     bessel_i32,
     eta_multiplier,
     kloosterman,
     rademacher_pn,
 )
+from pentarc.verify import run_suite
 
 TABLES = (_pair_data, _kloosterman_sum)
 
@@ -153,6 +158,14 @@ def _exponents(c, rows):
     return Counter(r if s > 0 else (r + 12 * c) % (24 * c) for s, r in rows)
 
 
+def _phase_numerators(c, m, n):
+    """Reference: (sign, r) per coset row, contributing
+    sign * exp(2 pi i r / (24c)), with r = e*c + (m + kappa) a + (n + kappa) d
+    (mod 24c)."""
+    mk, nk = m + CUSP_PARAMETER, n + CUSP_PARAMETER
+    return [(sign, (e * c + mk * a + nk * d) % (24 * c)) for sign, e, a, d in _pair_data(c)]
+
+
 def test_coset_rows_are_the_literal_pairs_once_per_lift():
     """The literal summand multiset is the coset rows', each 576 times."""
     for c in ENUM_CS:
@@ -272,6 +285,107 @@ def test_bessel_asymptotics():
     assert abs(vals[1] - 1) < abs(vals[0] - 1)
     with pytest.raises(ValueError):
         bessel_i32(0.0)
+
+
+def bessel_i32_while_loop(x):
+    """The Taylor loop as a while loop that rebuilds each ratio from k."""
+    if x < 1.0:
+        core = 0.0
+        term = x * x / 3.0
+        k = 1
+        while True:
+            core += term
+            k += 1
+            term *= x * x * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+            if term < 1e-20 * core:
+                break
+    else:
+        core = math.cosh(x) - math.sinh(x) / x
+    return math.sqrt(2.0 / (math.pi * x)) * core
+
+
+#: a dense and a geometric grid over [1e-3, 1), the 64 floats below 1.0 and
+#: 1 - 2^-j, and a grid over [1, 700]
+BESSEL_GRID = sorted(
+    {
+        *(1e-3 + i * (1 - 1e-3) / 10_000 for i in range(10_000)),
+        *(1e-3 * 1000 ** (i / 2000) for i in range(2000)),
+        *(1.0 - j * 2.0**-53 for j in range(1, 65)),
+        *(1.0 - 2.0**-j for j in range(1, 54)),
+        *(1.0 + i * 699 / 5000 for i in range(5001)),
+    }
+)
+
+
+def test_bessel_is_bitwise_the_while_loop():
+    assert BESSEL_GRID[0] == 1e-3 and BESSEL_GRID[-1] == 700.0
+    for x in BESSEL_GRID:
+        assert bessel_i32(x).hex() == bessel_i32_while_loop(x).hex(), x
+
+
+def test_bessel_taylor_loop_breaks_inside_its_table(monkeypatch):
+    """The loop breaks before it reads past the ratio table, and at x just
+    below 1 it reads the last entry, so the table is no longer than needed."""
+    table = rademacher._TAYLOR_RATIOS
+    read, exhausted = [], []
+
+    class Watched:
+        def __iter__(self):
+            for pair in table:
+                read.append(pair)
+                yield pair
+            exhausted.append(True)
+
+    monkeypatch.setattr(rademacher, "_TAYLOR_RATIOS", Watched())
+    longest = 0
+    for x in (x for x in BESSEL_GRID if x < 1.0):
+        read.clear()
+        bessel_i32(x)
+        assert not exhausted, x
+        longest = max(longest, len(read))
+    assert longest == len(table) == 10
+
+
+BESSEL_DOMAIN = """
+import math
+from pentarc.rademacher import bessel_i32
+refused = []
+for x in (1e-152, 3e-152, 1e-160, 1e-300, 5e-324, math.nextafter(1e-100, 0.0), 0.0, -1.0,
+          math.inf, -math.inf, math.nan):
+    try:
+        bessel_i32(x)
+    except ValueError as exc:
+        refused.append(str(exc).startswith("bessel_i32 needs a finite x >= 1e-100"))
+print(refused)
+for x in (1e-100, 1e-50, 1e-10):
+    # I_3/2(x) = sqrt(2/pi) x^1.5 / 3 (1 + x^2/10 + ...)
+    assert math.isclose(bessel_i32(x), math.sqrt(2 / math.pi) * x**1.5 / 3, rel_tol=1e-15), x
+print("ok")
+"""
+
+
+def test_bessel_ends_or_refuses_every_x():
+    """Below 1e-100, as at x = 1e-152 where 1e-20 of the sum underflows to
+    0 and the stopping test never passes, and at inf and nan, bessel_i32
+    raises ValueError; run in a child process, so that a hang fails."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rademacher.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", BESSEL_DOMAIN], env=env, capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{[True] * 11}\nok\n"
+
+
+def test_verify_rademacher_fails_on_a_flipped_kloosterman_sum(monkeypatch, capsys):
+    assert run_suite("rademacher")["ok"] is True
+    table = _kloosterman_sum
+
+    def flipped(c, m, n):
+        kc = table(c, m, n)
+        return kc._replace(value=-kc.value) if c == 2 else kc
+
+    monkeypatch.setattr(rademacher, "_kloosterman_sum", flipped)
+    assert run_suite("rademacher")["ok"] is False
+    assert main(["verify", "rademacher"]) == 1
+    assert '"ok": false' in capsys.readouterr().out
 
 
 def test_rademacher_small_cases():
