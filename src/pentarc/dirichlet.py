@@ -23,15 +23,12 @@ nonzero terms (chi(n) a_f((n^2-1)/24), n) on each eigenform's record
 
 Summation is j-outer, m-inner, n-innermost, with Neumaier-compensated
 accumulation so results reproduce across platforms to >= 12 digits.  The
-partial sums form a table: D(f, N; s) is binary64 whatever M and the
-weights' precision, so each is summed once per (eigenform, N, s), kept on
-the eigenform (``EmbeddedEigenform.partials``) and read for every (j, m),
-M and float mode that needs it; a warm pass evaluates no Dirichlet partial
-sum.  The double sum meets only M + nu - 1 distinct exponents s, and each
-partial sum stops at the first n whose n^(-s) underflows to 0.0, since
-every later term is 0.0 and leaves the sum's bits alone.  The float
-weights of a (nu, M, dps) are computed once and shared by all its
-eigenforms.
+double sum meets only M + nu - 1 distinct exponents s, and sums each
+D(f, N; s) once; each partial sum stops at the first n whose n^(-s)
+underflows to 0.0, since every later term is 0.0 and leaves the sum's bits
+alone.  The float weights of a (nu, M, dps) are computed once and shared by
+all its eigenforms, and finished norm estimates are cached as values, so a
+warm request sums no series.
 """
 
 from __future__ import annotations
@@ -121,17 +118,29 @@ def dirichlet_weight(nu: int, j: int, m: int) -> Fraction:
     return gammas * 6 ** (2 * nu - 1) * (sign * combinatorial * ratio)
 
 
+def _pi_scaled(nu: int, rationals, dps: int | None) -> list[float]:
+    """The floats c/d pi^(1-2nu) of the (c, d) in ``rationals``, with the
+    power of pi evaluated once.  In binary64, c / d is one int / int
+    division, which Python rounds correctly, as float(Fraction) does; under
+    mpmath at ``dps`` digits, c/d is reduced first, so the numerator mpf
+    rounds is the smallest one."""
+    if dps is None:
+        scale = math.pi ** (1 - 2 * nu)
+        return [c / d * scale for c, d in rationals]
+    import mpmath
+
+    with mpmath.workdps(dps):
+        scale = mpmath.pi ** mpmath.mpf(1 - 2 * nu)
+        reduced = [Fraction(c, d) for c, d in rationals]
+        return [float(mpmath.mpf(r.numerator) / r.denominator * scale) for r in reduced]
+
+
 def dirichlet_weight_float(nu: int, j: int, m: int, dps: int | None = None) -> float:
     """Float value of beta(nu, j, m) = dirichlet_weight(nu, j, m) pi^(1-2nu);
     optional mpmath evaluation at ``dps`` decimal digits for wide-precision
     cross-checks."""
     r = dirichlet_weight(nu, j, m)
-    if dps is None:
-        return float(r) * math.pi ** (1 - 2 * nu)
-    import mpmath
-
-    with mpmath.workdps(dps):
-        return float(mpmath.mpf(r.numerator) / r.denominator * mpmath.pi ** mpmath.mpf(1 - 2 * nu))
+    return _pi_scaled(nu, [(r.numerator, r.denominator)], dps)[0]
 
 
 def _neumaier_sum(values) -> float:
@@ -150,13 +159,12 @@ def _neumaier_sum(values) -> float:
 class EmbeddedEigenform(NamedTuple):
     """An eigenform of weight ``weight`` over Q(sqrt(disc)), sqrt(disc) > 0:
     its nonzero twisted terms (chi(n) a_f((n^2-1)/24), float(n)) for n <= big_n,
-    in n order, and its Dirichlet partial sums, ``partials[N][s]`` = D(f, N; s)."""
+    in n order."""
 
     weight: int
     disc: int
     big_n: int
     terms: tuple[tuple[float, float], ...]
-    partials: dict[int, dict[int, float]]
 
 
 def _partial_sum(terms: tuple[tuple[float, float], ...], s: int) -> float:
@@ -182,65 +190,37 @@ def _partial_sum(terms: tuple[tuple[float, float], ...], s: int) -> float:
     return total + comp
 
 
-def _partial_table(f: EmbeddedEigenform, N: int, exponents: range) -> dict[int, float]:
-    """f's partial sums D(f, N; s) by s, the missing ones of ``exponents``
-    summed in from the prefix of ``f.terms`` with n <= N.  The table is
-    ``f.partials[N]``, so it lives and dies with the eigenform.  The domain
-    is checked from ``exponents.start``, the smallest s, on every call,
-    whether the table holds the sums or not."""
+def _terms_to(f: EmbeddedEigenform, N: int, s: int) -> tuple[tuple[float, float], ...]:
+    """The prefix of ``f.terms`` with n <= N, once D(f, N; s) is checked to
+    lie in the domain: s the smallest exponent to be summed."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if exponents.start < f.weight + 1:
-        raise ValueError(f"s = {exponents.start} below absolute-convergence bound {f.weight + 1}")
+    if s < f.weight + 1:
+        raise ValueError(f"s = {s} below absolute-convergence bound {f.weight + 1}")
     if N > f.big_n:
         raise PrecisionError(f"twisted terms stored only to n = {f.big_n}")
-    sums = f.partials.setdefault(N, {})
-    missing = [s for s in exponents if s not in sums]
-    if missing:
-        terms = f.terms[: bisect_right(f.terms, N, key=itemgetter(1))]
-        for s in missing:
-            sums[s] = _partial_sum(terms, s)
-    return sums
+    return f.terms[: bisect_right(f.terms, N, key=itemgetter(1))]
 
 
 def dirichlet_partial(f: EmbeddedEigenform, N: int, s: int) -> float:
-    """Partial sum of the twisted series over 1 <= n <= N, from f's table.
+    """Partial sum of the twisted series over 1 <= n <= N.
 
     ``f`` is an ``EmbeddedEigenform`` whose terms reach N (``f.big_n >= N``).
     Requires s >= weight + 1 (absolute convergence).
     """
-    return _partial_table(f, N, range(s, s + 1))[s]
+    return _partial_sum(_terms_to(f, N, s), s)
 
 
 @lru_cache(maxsize=8)
 def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float], ...]:
     """(s, beta(nu, j, m)) as floats in summation order, j outer, m inner,
     with s = 2nu+1+2m+2j.  The exact weights are
-    beta(nu, j, m) = beta(nu, j, 0) C(2nu+m-2, m), the binomial stepped in
-    integers, and share one power of pi, evaluated once: the same floats as
-    dirichlet_weight_float.  In binary64 the rational part is one int / int
-    division, which Python rounds correctly, as float(Fraction) does."""
-    exact = []
-    for j in range(nu - 1):
-        first = dirichlet_weight(nu, j, 0)
-        num, den = first.numerator, first.denominator
-        binom = 1
-        for m in range(M + 1):
-            if m:
-                binom = binom * (2 * nu + m - 2) // m
-            exact.append((2 * nu + 1 + 2 * m + 2 * j, num * binom, den))
-    if dps is None:
-        scale = math.pi ** (1 - 2 * nu)
-        return tuple((s, c / d * scale) for s, c, d in exact)
-    import mpmath
-
-    with mpmath.workdps(dps):
-        scale = mpmath.pi ** mpmath.mpf(1 - 2 * nu)
-        out = []
-        for s, c, d in exact:
-            c = Fraction(c, d)  # reduced, as dirichlet_weight_float converts it
-            out.append((s, float(mpmath.mpf(c.numerator) / c.denominator * scale)))
-        return tuple(out)
+    beta(nu, j, m) = beta(nu, j, 0) C(2nu+m-2, m), rounded by _pi_scaled:
+    the same floats as dirichlet_weight_float."""
+    firsts = [dirichlet_weight(nu, j, 0) for j in range(nu - 1)]
+    rationals = [(r.numerator * math.comb(2 * nu + m - 2, m), r.denominator) for r in firsts for m in range(M + 1)]
+    exponents = [2 * nu + 1 + 2 * m + 2 * j for j in range(nu - 1) for m in range(M + 1)]
+    return tuple(zip(exponents, _pi_scaled(nu, rationals, dps)))
 
 
 def dirichlet_double_sum(f: EmbeddedEigenform, nu: int, M: int, N: int, dps: int | None = None) -> float:
@@ -248,18 +228,17 @@ def dirichlet_double_sum(f: EmbeddedEigenform, nu: int, M: int, N: int, dps: int
 
     ``dps`` switches the weight evaluation to mpmath at that many decimal
     digits (the optional wide-float mode); the partial sums stay binary64.
-    The float weights are shared by every eigenform of a (nu, M, dps), and
-    the partial sums of its M + nu - 1 distinct exponents are read from f's
-    table, which sums only those it lacks; both give the same float as
-    calling dirichlet_partial and dirichlet_weight_float for every (j, m).
-    ``f`` has weight 2nu: a larger nu raises here, a smaller one at the
-    convergence bound of the partial sums.
+    Each of the M + nu - 1 distinct exponents is summed once, which gives
+    the same float as calling dirichlet_partial and dirichlet_weight_float
+    for every (j, m).  ``f`` has weight 2nu: a larger nu raises here, a
+    smaller one at the convergence bound of the partial sums.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
     if 2 * nu > f.weight:
         raise ValueError(f"nu = {nu} does not match the weight-{f.weight} eigenform")
-    sums = _partial_table(f, N, range(2 * nu + 1, 2 * nu + 1 + 2 * (M + nu - 1), 2))
+    terms = _terms_to(f, N, 2 * nu + 1)
+    sums = {s: _partial_sum(terms, s) for s in range(2 * nu + 1, 2 * nu + 1 + 2 * (M + nu - 1), 2)}
     return _neumaier_sum([weight * sums[s] for s, weight in _float_weights(nu, M, dps)])
 
 
@@ -333,7 +312,7 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
             coeff = chi * (pair[0] / 2 + (pair[1] / 2) * sqrt_d)
             if coeff:  # a zero term leaves a Neumaier sum's bits alone
                 terms.append((coeff, n))
-        out.append(EmbeddedEigenform(weight, d, N, tuple(terms), {}))
+        out.append(EmbeddedEigenform(weight, d, N, tuple(terms)))
     return tuple(out)
 
 
@@ -349,6 +328,8 @@ class NormEstimate(NamedTuple):
     estimates: tuple[float, ...]
 
 
+# a finished estimate is a value; the petersson workload reads 2 keys
+@lru_cache(maxsize=8)
 def petersson_norm_estimate(
     nu: int, M: int | None = None, N: int | None = None, dps: int | None = None
 ) -> NormEstimate:

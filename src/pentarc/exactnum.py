@@ -136,7 +136,8 @@ class QuadNum:
 
     d must be a squarefree positive integer (d = 1 encodes a rational value).
     Arithmetic requires matching d, except that purely rational operands
-    (b = 0) adapt to the other side's field.
+    (b = 0) adapt to the other side's field.  Values are immutable, since
+    cached results hold them.
     """
 
     __slots__ = ("a", "b", "d")
@@ -149,9 +150,13 @@ class QuadNum:
             d = 1
         if d <= 0 or squarefree_split(d)[0] != 1:
             raise ValueError(f"d = {d} is not a squarefree positive integer")
-        self.a = a
-        self.b = b
-        self.d = d
+        init = object.__setattr__
+        init(self, "a", a)
+        init(self, "b", b)
+        init(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadNum is immutable: cannot set {name}")
 
     @staticmethod
     def _coerce(value) -> "QuadNum":

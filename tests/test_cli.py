@@ -923,8 +923,8 @@ def test_flags_do_not_leak_between_requests(tmp_path):
 
 
 def test_requests_sharing_partial_sums_print_what_fresh_processes_print(capsys):
-    """A request that reads Dirichlet partial sums an earlier one summed, at
-    another M or float mode, prints what it prints alone in a fresh process."""
+    """A request that follows others at another M, N or float mode prints
+    what it prints alone in a fresh process, so no cache key drops one."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pentarc.__file__)))
 
     def without_timings(out):
@@ -932,7 +932,10 @@ def test_requests_sharing_partial_sums_print_what_fresh_processes_print(capsys):
         data.pop("timings")
         return data
 
-    for argv in (["dirichlet", "6"], ["--big-m", "50", "dirichlet", "6"], ["--float-mode", "wide:30", "dirichlet", "6"]):
+    for argv in (
+        ["dirichlet", "6"], ["--big-m", "50", "dirichlet", "6"], ["--float-mode", "wide:30", "dirichlet", "6"],
+        ["--big-n", "2000", "dirichlet", "6"], ["--big-m", "0", "dirichlet", "6"],
+    ):
         code, out = run_cli(capsys, *argv)
         fresh = subprocess.run([sys.executable, "-m", "pentarc.cli", *argv], env=env, capture_output=True, text=True)
         assert (code, without_timings(out)) == (fresh.returncode, without_timings(fresh.stdout)), argv

@@ -1,5 +1,3 @@
-import gc
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -14,7 +12,6 @@ from pentarc.arith import kronecker_symbol
 from pentarc.dirichlet import (
     DEFAULT_BIG_M,
     MIN_BIG_N,
-    EmbeddedEigenform,
     _coprime_split,
     _float_weights,
     _half_product,
@@ -386,7 +383,10 @@ def test_half_product_matches_quadnum():
 
 @pytest.mark.parametrize(
     "cached",
-    [embedded_eigenforms, eigen_coordinates, _float_weights, eigenforms, eigenform_projections],
+    [
+        embedded_eigenforms, eigen_coordinates, _float_weights, eigenforms, eigenform_projections,
+        petersson_norm_estimate,
+    ],
 )
 def test_petersson_path_caches_are_bounded(cached):
     assert isinstance(cached.cache_info().maxsize, int)
@@ -438,31 +438,22 @@ def test_norm_estimates_other_weights_positive_and_stable():
     assert finer == pytest.approx(coarse, rel=1e-4)
 
 
-def _fresh(nu, N):
-    """The embedded eigenforms of (nu, N), each with an empty partial-sum table."""
-    return [f._replace(partials={}) for f in embedded_eigenforms(nu, N)]
-
-
-def test_partial_table_serves_every_m_dps_and_n_bit_for_bit():
+def test_double_sums_match_the_reference_at_every_m_dps_and_n_bit_for_bit():
     for nu, N in ((6, 120), (12, 80)):
-        for f, coeffs in zip(_fresh(nu, N), _embedded_full_range(nu, N), strict=True):
-            dirichlet_double_sum(f, nu, 100, N)
+        for f, coeffs in zip(embedded_eigenforms(nu, N), _embedded_full_range(nu, N), strict=True):
             for M, n, dps in ((0, N, None), (3, N, None), (50, N, None), (200, N, None), (100, N, 30), (100, 47, None)):
                 got = dirichlet_double_sum(f, nu, M, n, dps)
                 assert got.hex() == _double_sum_reference(coeffs, nu, M, n, dps).hex(), (nu, M, n, dps)
 
 
-def test_partial_table_still_checks_the_domain():
-    (f,) = _fresh(6, 60)
-    dirichlet_double_sum(f, 6, 3, 60)
-    assert dirichlet_partial(f, 60, 13) == f.partials[60][13]
+def test_partial_sums_check_the_domain():
+    (f,) = embedded_eigenforms(6, 60)
     with pytest.raises(ValueError, match="s = 12 below absolute-convergence bound 13"):
         dirichlet_partial(f, 60, 12)
     with pytest.raises(ValueError, match="s = 11 below absolute-convergence bound 13"):
         dirichlet_double_sum(f, 5, 3, 60)  # a smaller nu starts below the bound
     with pytest.raises(ValueError, match="N must be >= 1"):
         dirichlet_partial(f, 0, 13)
-    assert list(f.partials) == [60] and sorted(f.partials[60]) == list(range(13, 29, 2))
 
 
 def test_double_sum_needs_the_eigenform_weight():
@@ -498,39 +489,17 @@ def work_counts(monkeypatch):
 
 
 def test_warm_double_sums_sum_no_series(work_counts):
-    none = {"embedded_eigenforms": 0, "_partial_sum": 0}
     first = petersson_norm_estimate(6)
     work_counts()
-    assert petersson_norm_estimate(6) == first
-    assert work_counts() == none
-    petersson_norm_estimate(6, dps=30)  # the weights change, the partial sums do not
-    assert work_counts() == none
+    assert petersson_norm_estimate(6) is first
+    assert work_counts() == {"embedded_eigenforms": 0, "_partial_sum": 0}
     embedded_eigenforms.cache_clear()  # (6, 200) is then a miss; the clear zeroes the count, so read again
     work_counts()
-    (f,) = _fresh(6, 200)
+    (f,) = embedded_eigenforms(6, 200)
     dirichlet_double_sum(f, 6, 100, 200)
     assert work_counts() == {"embedded_eigenforms": 1, "_partial_sum": 105}
-    dirichlet_double_sum(f, 6, 200, 200)  # only the 100 new exponents
-    assert work_counts() == {"embedded_eigenforms": 0, "_partial_sum": 100}
-
-
-def test_partial_tables_live_and_die_with_their_eigenforms():
-    embedded_eigenforms.cache_clear()
-    for f in embedded_eigenforms(12, 41):
-        asked = set()
-        for M, N in ((3, 41), (5, 41), (3, 30)):
-            dirichlet_double_sum(f, 12, M, N)
-            asked |= {(N, s) for s, _ in _float_weights(12, M, None)}
-        for N, s in ((41, 25), (20, 101)):
-            dirichlet_partial(f, N, s)
-            asked.add((N, s))
-        # one entry per distinct (N, s) asked for, and the eigenform its only holder
-        assert sorted((N, s) for N, sums in f.partials.items() for s in sums) == sorted(asked)
-        assert [r for r in gc.get_referrers(f.partials) if not inspect.isframe(r)] == [f]
-    del f
-    embedded_eigenforms.cache_clear()
-    gc.collect()
-    assert not [o for o in gc.get_objects() if isinstance(o, EmbeddedEigenform) and 41 in o.partials]
+    dirichlet_double_sum(f, 6, 200, 200, 30)  # a new (M, dps) sums each of its M + nu - 1 exponents once
+    assert work_counts() == {"embedded_eigenforms": 0, "_partial_sum": 205}
 
 
 def test_one_pass_checks_each_index_against_its_n(monkeypatch):
@@ -557,6 +526,6 @@ def test_verify_dirichlet_fails_on_a_flipped_term(monkeypatch):
     assert run_suite("dirichlet")["ok"] is True
     (f,) = embedded_eigenforms(6, 5)
     (coeff, n), *rest = f.terms
-    corrupt = f._replace(terms=((-coeff, n), *rest), partials={})
+    corrupt = f._replace(terms=((-coeff, n), *rest))
     monkeypatch.setattr(dmod, "embedded_eigenforms", lambda nu, N: (corrupt,))
     assert run_suite("dirichlet")["ok"] is False

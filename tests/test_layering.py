@@ -2,7 +2,8 @@
 modules below it.  And every cache in the package is bounded: each
 ``lru_cache`` has an integer maxsize, and no function keeps a memo of its
 own in a module-level list, dict or set.  What a cache returns is shared by
-every caller, so no caller can rebind its fields.
+every caller, so it is a value: no caller can rebind its fields, it hashes,
+and no record type declares a container that could fill in place.
 
 Every module's package imports are read with ``ast``, without importing
 anything, and compared with the dependency graph below.  A new edge, or a
@@ -11,6 +12,7 @@ dropped one, must be written here on purpose.
 
 import ast
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -210,9 +212,42 @@ def test_cached_results_are_immutable():
         (dirichlet.petersson_norm_estimate(12, 10, 50), "estimates"),
         (dirichlet.embedded_eigenforms(12, 50)[0], "terms"),
         (partitions._weight_columns(6, 40), "keys"),
+        (hecke.eigenform_projections(6)[0], "a"),
     ]
     for result, field in fields:
+        hash(result)
         with pytest.raises(AttributeError):
             setattr(result, field, None)
         with pytest.raises(AttributeError):
             result.extra = None
+
+
+def test_no_record_declares_a_mutable_field():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(ast.unparse(b).endswith("NamedTuple") for b in node.bases):
+                for field in node.body:
+                    if isinstance(field, ast.AnnAssign):
+                        container = ast.unparse(field.annotation).split("[")[0].rpartition(".")[2]
+                        assert container.lower() not in {"dict", "list", "set"}, (
+                            f"{path.stem}.{node.name}.{field.target.id}"
+                        )
+
+
+def test_partial_sums_retain_no_memory():
+    """Partial sums at thousands of (N, s) on one cached eigenform keep
+    nothing per (N, s): under 64 KB stays allocated."""
+    from pentarc.dirichlet import dirichlet_partial, embedded_eigenforms
+
+    (f,) = embedded_eigenforms(6, 2000)
+    for N in range(5, 30):  # specialized untraced; traced from the start the loop runs several times slower
+        dirichlet_partial(f, N, 13)
+    tracemalloc.start()
+    try:
+        for N in range(5, 2001):
+            for s in (13, 15, 17):
+                dirichlet_partial(f, N, s)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024

@@ -2,6 +2,7 @@
 installed for the tests only (``tests/test_layering.py`` keeps it out of
 ``src/``)."""
 
+import math
 from math import isqrt
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from pentarc.arith import kronecker_symbol
+from pentarc.exactnum import bernoulli, squarefree_split
 from pentarc.partitions import partition_table, sigma
 
 #: m of sigma_m: the weights 2nu - 1 the recurrence reads (nu = 2, 6, 12, 200) and m = 1
@@ -42,3 +44,19 @@ def test_partition_table_matches_sympy_partition():
     table = partition_table(10**4)
     for n in (236, 300, 1000, 10**4):
         assert table.p(n) == sympy.partition(n), n
+
+
+def test_bernoulli_matches_sympy():
+    # B_2k from the tangent numbers feeds every Eisenstein series E_2k
+    for k in range(201):
+        assert bernoulli(2 * k) == sympy.bernoulli(2 * k), k
+
+
+def test_squarefree_split_matches_sympy_factorint():
+    # small n only: near the trial-division bound one split takes over a second
+    for n in range(1, 2000):
+        exponents = sympy.factorint(n).items()
+        assert squarefree_split(n) == (
+            math.prod(p ** (e // 2) for p, e in exponents),
+            math.prod(p ** (e % 2) for p, e in exponents),
+        ), n
