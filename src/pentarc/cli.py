@@ -33,8 +33,8 @@ from .serialize import dumps, jsonable
 ENV_PREFIX = "PENTARC_"
 FORMATS = ("json", "csv", "text")
 #: largest weight index nu accepted (``pnu``, ``trace``, ``gpoly`` and
-#: ``--method trace:NU``): at 200, ``pnu`` takes about 0.5 s in-process (4 times
-#: ``pnu 100``) and ``partition 3 --method trace:200`` 0.04 s, on 2 cores with Python 3.11
+#: ``--method trace:NU``): at 200, ``pnu`` takes about 0.4 s in-process (9 times
+#: ``pnu 100``) and ``partition 3 --method trace:200`` 0.03 s, on 2 cores with Python 3.11
 MAX_NU = 200
 #: ceilings on |n| and |k| for ``gpoly``, whose value (``partitions.recurrence_weight``)
 #: has a numerator at most |numerator of pref(nu)/(2nu)!| * sum |w_j| * (24|n| + (6k+1)^2)^nu.
@@ -43,18 +43,18 @@ MAX_NU = 200
 #: limit on printing an int
 MAX_GPOLY_N = 10**18
 MAX_GPOLY_K = 10**9
-#: values in one ``gpoly --k`` range: 3000 values at the n, k and nu ceilings take 5.5 s, 61 MB
+#: values in one ``gpoly --k`` range: 3000 values at the n, k and nu ceilings take 2.1 s, 47 MB
 MAX_GPOLY_K_COUNT = 3000
-#: ``trace``'s n: ``trace 12 10000`` takes 4 s and 33 MB, ``trace 200 2000`` 48 s and 122 MB
+#: ``trace``'s n: ``trace 12 10000`` takes 2 s and 28 MB, ``trace 200 2000`` 6 s and 36 MB
 MAX_TRACE_N = 10**4
-#: ``partition``'s n: ``partition 100000`` takes 8.7 s and 32 MB, ``partition 40000`` 1.5 s
+#: ``partition``'s n: ``partition 100000`` takes 4.3 s and 30 MB, ``partition 40000`` 0.9 s
 MAX_PARTITION_N = 10**5
-#: ``--prec 10000 pnu 12`` takes 9 s and 33 MB, ``pnu 24`` 40 s, ``--prec 1000 pnu 200`` 75 s
+#: ``--prec 10000 pnu 12`` takes 4 s and 28 MB, ``pnu 24`` 15 s, ``--prec 1000 pnu 200`` 22 s
 MAX_PREC = 10**4
-#: ``--big-m 10000 dirichlet 19`` takes 1.8 s and 48 MB, 9 s with ``--float-mode wide:30``
+#: ``--big-m 10000 dirichlet 19`` takes 0.4 s and 74 MB, 1.7 s with ``--float-mode wide:30``
 MAX_BIG_M = 10**4
 #: dps of ``--float-mode wide:<dps>``: ``--big-m 10000 --float-mode wide:1000 dirichlet 19``
-#: takes 29 s and 51 MB (12 s at wide:300); the weights are rounded to binary64 either way
+#: takes 2.2 s and 93 MB (1.7 s at wide:300); the weights are rounded to binary64 either way
 MAX_DPS = 1000
 
 
@@ -286,7 +286,7 @@ def cmd_partition(args, cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
     nu, prec = args.nu, cfg.prec
-    bracket = rankincohen.eta_bracket(nu, prec)
+    bracket = rankincohen.eta_bracket_from_partitions(nu, prec)
     record: dict = {
         "nu": nu,
         "prec": prec,
@@ -296,10 +296,11 @@ def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
     if nu >= 2:
         space = forms.space_basis(2 * nu, prec)
         record["monomial_coordinates"] = forms.decompose(bracket, space)
-        cusp = hecke.cusp_part(nu, prec)
-        record["cusp_coordinates"] = [cusp.coeff(i + 1) for i in range(space.dim_cusp)]
+        # the cusp coordinates are traces 1..dim_cusp, from the series the projections read
+        traces = hecke.trace_series(nu, max(space.dim_cusp, 1))
+        record["cusp_coordinates"] = list(traces.values[1 : space.dim_cusp + 1])
         if space.dim_cusp == 1:
-            record["cusp_multiplier"] = cusp.coeff(1)
+            record["cusp_multiplier"] = traces.value(1)
         if space.dim_cusp in (1, 2):
             record["projections"] = list(hecke.eigenform_projections(nu))
     return {"results": record}, 0

@@ -328,15 +328,17 @@ class NormEstimate(NamedTuple):
     estimates: tuple[float, ...]
 
 
-# a finished estimate is a value; the petersson workload reads 2 keys
-@lru_cache(maxsize=8)
 def petersson_norm_estimate(
     nu: int, M: int | None = None, N: int | None = None, dps: int | None = None
 ) -> NormEstimate:
-    """Norm estimate per eigenform: double sum divided by the exact
-    projection ratio, both embedded with sqrt(d) > 0."""
-    M = DEFAULT_BIG_M if M is None else M
-    N = default_big_n(nu) if N is None else N
+    """Norm estimate per eigenform: double sum divided by the exact projection
+    ratio, both embedded with sqrt(d) > 0, cached once M and N are resolved."""
+    return _norm_estimate(nu, DEFAULT_BIG_M if M is None else M, default_big_n(nu) if N is None else N, dps)
+
+
+# a finished estimate is a value; the petersson workload reads 2 keys
+@lru_cache(maxsize=8)
+def _norm_estimate(nu: int, M: int, N: int, dps: int | None) -> NormEstimate:
     if N < MIN_BIG_N:
         raise ValueError(f"a norm estimate needs N >= {MIN_BIG_N}, got {N}")
     projections = eigenform_projections(nu)

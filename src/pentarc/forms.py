@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-#: a ``verify all`` pass reads 17 distinct (w, prec), the most of any benchmark workload
+#: a ``verify all`` pass reads 22 distinct (w, prec), the most of any benchmark workload
 @lru_cache(maxsize=32)
 def eisenstein(w: int, prec: int) -> IntQSeries:
     """Weight-w Eisenstein series, exact through q^(prec-1)."""

@@ -7,11 +7,10 @@ the one reader of its coordinates, gives the integer pairs of
 2a(n) = x_n + y_n sqrt(d), checked integral; ``eigenforms`` and the
 Dirichlet side both read them.  A failed eigenform check is an internal
 fault (InternalCancellationError, exit 3), not an unsupported space.
-``cusp_part`` is the one construction of the cuspidal part,
-eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}, and ``pnu``, ``trace_series``,
-the projections and ``verify`` all read it.  It answers a request no longer
-than one already built for its nu from a prefix of that build.  The
-weight-2nu trace sequence is its q^n coefficient for n >= 1.
+``cusp_part`` is the one construction of the cuspidal part, the bracket
+of ``rankincohen.eta_bracket_from_partitions`` less C(2nu-2, nu-2) E_{2nu},
+and ``pnu``, ``trace_series``, the projections and ``verify`` all read it.
+The weight-2nu trace sequence is its q^n coefficient for n >= 1.
 (``partitions.recurrence_rhs`` writes the Eisenstein term from the
 sigma_{2nu-1} formula instead, so the ``trace-recurrence`` suite checks one
 against the other.)
@@ -31,7 +30,7 @@ from .errors import InternalCancellationError, PrecisionError, UnsupportedHeckeF
 from .exactnum import QuadNum, solve, squarefree_split
 from .forms import cusp_monomials, dim_cusp, eisenstein
 from .qseries import IntQSeries
-from .rankincohen import eta_bracket
+from .rankincohen import eta_bracket_from_partitions
 
 __all__ = [
     "Eigenform",
@@ -203,26 +202,11 @@ def _check_eigenform(f: Eigenform) -> None:
             raise InternalCancellationError("T_2 eigenvector check failed")
 
 
-@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 12 nu
-def _longest_cusp(nu: int) -> list[IntQSeries]:
-    """A one-slot holder for the longest cuspidal part of nu built so far;
-    the cache bounds how many nu keep one."""
-    return []
-
-
 def cusp_part(nu: int, prec: int) -> IntQSeries:
-    """eta_bracket(nu) - C(2nu-2, nu-2) E_{2nu}, exact through q^(prec-1), for nu >= 2.
-
-    A request no longer than one already built for the same nu is a prefix
-    of it, so it builds no bracket.
-    """
+    """eta_bracket_from_partitions(nu) - C(2nu-2, nu-2) E_{2nu}, exact through q^(prec-1), nu >= 2."""
     if nu < 2 or prec < 2:
         raise ValueError(f"cusp_part needs nu >= 2 and prec >= 2, got ({nu}, {prec})")
-    longest = _longest_cusp(nu)
-    if not longest or longest[0].prec < prec:
-        c = comb(2 * nu - 2, nu - 2)
-        longest[:] = [eta_bracket(nu, prec) - eisenstein(2 * nu, prec).scale(c)]
-    return longest[0].truncate(prec)
+    return eta_bracket_from_partitions(nu, prec) - eisenstein(2 * nu, prec).scale(comb(2 * nu - 2, nu - 2))
 
 
 @lru_cache(maxsize=16)  # a ``verify all`` pass, the busiest workload, reads 7 (nu, n_max)

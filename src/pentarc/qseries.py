@@ -152,7 +152,12 @@ class _Series:
             if g != 1:
                 den //= g
                 nums = [c // g for c in nums]
-        self.start, self.coeffs, self.den = start, tuple(nums), den
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "coeffs", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
 
     @classmethod
     def _make(cls, start: int, nums: Sequence[int], den: int = 1):
@@ -287,14 +292,6 @@ class IntQSeries(_Series):
     invert = _Series._invert
     pow = _Series._pow
 
-    def truncate(self, prec: int) -> "IntQSeries":
-        """Restrict to exponents < prec (prec must not exceed what is known)."""
-        if prec > self.prec:
-            raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        if prec <= self.offset:
-            raise ValueError("truncation would leave no stored coefficients")
-        return self._make(self.offset, self.coeffs[: prec - self.offset], self.den)
-
     def to_qseries24(self) -> QSeries24:
         """Embed on the 1/24 grid (exponents multiplied by 24).
 
@@ -324,7 +321,7 @@ def to_int_series(s: QSeries24) -> IntQSeries:
     return IntQSeries._make(off, s.coeffs[24 * off - s.offset24 :: 24], s.den)
 
 
-@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 11 prec
+@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 5 prec
 def euler_expansion(prec: int) -> IntQSeries:
     """Euler's function prod_{n>=1} (1 - q^n) = sum over k in Z of (-1)^k q^omega(k).
 

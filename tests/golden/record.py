@@ -59,6 +59,9 @@ GOLDEN: dict[str, list[list[str]]] = {
         ["partition", "5", "--method", "trace:6", "--cross-check"],
         *(["pnu", nu] for nu in ("0", "1", "2", "24")),
         ["--prec", "200", "pnu", "12"],
+        # large weight indices, where the bracket and the traces run to hundreds of digits
+        ["--prec", "200", "pnu", "50"],
+        ["trace", "100", "100"],
         ["gpoly", "6", "10", "--k", "-3..3"],
         ["trace", "12", "40"],
         ["--format", "csv", *_PARTITION],
@@ -90,10 +93,17 @@ GOLDEN: dict[str, list[list[str]]] = {
 
 #: request -> {n: offset} for each recorded Rademacher p(n) that is p(n) plus
 #: this offset, not p(n): the binary64 Kloosterman-Bessel sum's known wrong
-#: answers at depth 50, and the one-term series, which leaves p(n) from
-#: n = 11 on (ROADMAP item 1).  Every other recorded p(n) is p(n).
+#: answers at depth 50, among them p(76716), whose 303 digits binary64 holds
+#: to about 17, and the one-term series, which leaves p(n) from n = 11 on
+#: (ROADMAP item 1).  Every other recorded p(n) is p(n).
 KNOWN_WRONG_PN = {
     "rademacher 236..250": {236: -1, 247: -1, 248: -1, 250: 1},
+    "rademacher 76716": {76716: int(
+        "834262979686982845859603760813367089451689467576630154655360948501272597799682395994520543234094"
+        "813977049235510978120842754273962897294758473471688858969806731840688171183290334490389126693600"
+        "573672101460265351991692239941290153039176391997745402644066286640083478659246341590230330101243"
+        "94"
+    )},
     "partition 1..20 --method rademacher:1": {n: (-1) ** (n + 1) for n in range(11, 21)},
 }
 

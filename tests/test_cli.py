@@ -94,12 +94,32 @@ def test_pnu_12_keeps_exact_values_as_strings(capsys):
 
 
 def test_pnu_builds_one_bracket(capsys):
-    """The projections read their traces from the cuspidal part ``pnu`` built."""
-    for cached in (rankincohen.eta_bracket, hecke._longest_cusp, hecke.trace_series, hecke.eigenform_projections):
+    """``pnu`` builds its 120-coefficient bracket once, on the pentagonal walk, and runs
+    no operator construction; the projections read a 3-coefficient bracket of their own."""
+    walk = rankincohen.eta_bracket_from_partitions
+    for cached in (rankincohen.eta_bracket, walk, hecke.trace_series, hecke.eigenform_projections):
         cached.cache_clear()
     code, _ = run_json(capsys, "--prec", "120", "pnu", "12")
     assert code == 0
-    assert rankincohen.eta_bracket.cache_info().misses == 1
+    assert rankincohen.eta_bracket.cache_info().misses == 0
+    assert walk.cache_info().misses == 2
+    walk(12, 120), walk(12, 3)
+    assert walk.cache_info().misses == 2
+
+
+def test_commands_run_no_operator_bracket(capsys):
+    """Every command that reads a bracket reads the pentagonal walk's; only ``verify``
+    builds the operator one, to compare the two."""
+    for cached in (rankincohen.eta_bracket, rankincohen.eta_bracket_from_partitions, hecke.trace_series,
+                   hecke.eigenform_projections):
+        cached.cache_clear()
+    for argv in (["--prec", "40", "pnu", "13"], ["trace", "18", "30"], ["partition", "1..30", "--method", "trace:12"],
+                 ["dirichlet", "12"], ["eigenforms", "24"]):
+        code, _ = run_json(capsys, *argv)
+        assert code == 0, argv
+    assert rankincohen.eta_bracket_from_partitions.cache_info().misses >= 3
+    assert rankincohen.eta_bracket.cache_info().misses == 0
+    assert rankincohen.eta_bracket.cache_info().hits == 0
 
 
 def test_partition_builds_one_table(capsys):
@@ -187,6 +207,17 @@ def test_dirichlet_small(capsys):
     assert rec["projection_exact"]["a"] == "-33108590592/691"
     assert data["big_m"] == 2 and data["big_n"] == 60
     assert float(rec["norm_estimate"]) > 0
+
+
+def test_default_and_explicit_truncations_share_one_estimate(capsys):
+    """``dirichlet 6`` and ``--big-n 2000 dirichlet 6`` ask for the same estimate: it is built and held once."""
+    dmod._norm_estimate.cache_clear()
+    code, default = run_json(capsys, "dirichlet", "6")
+    assert code == 0
+    code, explicit = run_json(capsys, "--big-n", "2000", "dirichlet", "6")
+    assert code == 0 and explicit["results"] == default["results"]
+    info = dmod._norm_estimate.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 @pytest.mark.parametrize("mode", ["wide:0", "wide:1", "wide:-3", "wide:x"])

@@ -385,7 +385,7 @@ def test_half_product_matches_quadnum():
     "cached",
     [
         embedded_eigenforms, eigen_coordinates, _float_weights, eigenforms, eigenform_projections,
-        petersson_norm_estimate,
+        dmod._norm_estimate,
     ],
 )
 def test_petersson_path_caches_are_bounded(cached):

@@ -46,7 +46,8 @@ def test_request_prints_its_golden_output(name, golden):
 
 def test_recorded_partition_numbers_are_right_but_the_known_wrong():
     """Each recorded p(n) is p(n), except the Rademacher values that
-    ``KNOWN_WRONG_PN`` marks, which are off by exactly their offset."""
+    ``KNOWN_WRONG_PN`` marks, which are off by exactly their offset.  p(n) is
+    read from ``partition_table`` to n = 300 and from sympy above it."""
     table = partition_table(300)
     wrong = {}
     for _, golden in RECORDS:
@@ -55,8 +56,10 @@ def test_recorded_partition_numbers_are_right_but_the_known_wrong():
         results = json.loads(golden["stdout"]).get("results")
         for result in results if isinstance(results, list) else ():
             n, value = result.get("n"), result.get("nearest", result.get("value"))
-            if isinstance(value, int) and isinstance(n, int) and n <= 300 and value != table.p(n):
-                wrong.setdefault(" ".join(golden["argv"]), {})[n] = value - table.p(n)
+            if isinstance(value, int) and isinstance(n, int):
+                exact = table.p(n) if n <= 300 else int(pytest.importorskip("sympy").partition(n))
+                if value != exact:
+                    wrong.setdefault(" ".join(golden["argv"]), {})[n] = value - exact
     assert wrong == KNOWN_WRONG_PN
 
 

@@ -203,11 +203,13 @@ def test_every_lru_cache_is_bounded():
 
 
 def test_cached_results_are_immutable():
-    from pentarc import dirichlet, forms, hecke, partitions, rademacher
+    from pentarc import dirichlet, forms, hecke, partitions, rademacher, rankincohen
 
     fields = [
         (partitions.partition_table(10), "values"), (hecke.trace_series(12, 5), "values"),
         *((f, "coeffs") for f in hecke.eigenforms(24)), (forms.space_basis(24, 10), "basis"),
+        (forms.space_basis(24, 10).basis[0], "coeffs"),
+        (rankincohen.eta_bracket_from_partitions(6, 30), "coeffs"), (rankincohen.eta_bracket(6, 30), "coeffs"),
         (rademacher.kloosterman(5, -24, 24), "value"),
         (dirichlet.petersson_norm_estimate(12, 10, 50), "estimates"),
         (dirichlet.embedded_eigenforms(12, 50)[0], "terms"),

@@ -70,7 +70,7 @@ def test_eta_bracket_matches_scaled_general_bracket():
     eta = eta_expansion(grid)
     for nu in range(7):
         rc = rankin_cohen(inv, F(-1, 2), eta, F(1, 2), nu)
-        scaled = to_int_series(rc.scale(F(24) ** nu)).truncate(14)
+        scaled = to_int_series(rc.scale(F(24) ** nu))
         assert scaled.agrees_with(eta_bracket(nu, 14)), nu
 
 
@@ -79,9 +79,9 @@ def test_eta_bracket_matches_scaled_general_bracket_at_prec_40(nu):
     """The integer-grid bracket against the 1/24-grid general bracket."""
     grid = 24 * 40 + 2
     rc = rankin_cohen(eta_inverse_expansion(grid), F(-1, 2), eta_expansion(grid), F(1, 2), nu)
-    scaled = to_int_series(rc.scale(F(24) ** nu)).truncate(40)
+    scaled = to_int_series(rc.scale(F(24) ** nu))
     bracket = eta_bracket(nu, 40)
-    assert bracket.prec == scaled.prec == 40
+    assert bracket.prec == 40 and scaled.prec >= 40
     assert scaled.agrees_with(bracket)
 
 

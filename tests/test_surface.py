@@ -44,6 +44,7 @@ ALLOWED = {
     "qseries._Series.__repr__": "a __repr__",
     "exactnum.QuadNum.__repr__": "a __repr__",
     "exactnum.QuadNum.__setattr__": "refuses assignment, which the package never makes",
+    "qseries._Series.__setattr__": "refuses assignment, which the package never makes",
     "exactnum.QuadNum.__hash__": "QuadNum defines __eq__, so without it an immutable number is unhashable",
     "exactnum.QuadNum.__rsub__": "QuadNum keeps the whole arithmetic protocol: int - z as well as z - int",
     "rademacher.Root24.value": "the complex value of an exact multiplier, "
