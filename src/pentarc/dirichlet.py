@@ -40,9 +40,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .arith import kronecker_symbol
 from .errors import InternalCancellationError, PrecisionError
-from .exactnum import QuadNum, rising_factorial
+from .exactnum import QuadNum, falling_factorial, kronecker_symbol
 from .forms import dim_cusp
 from .hecke import eigen_pairs, eigenform_projections
 
@@ -98,7 +97,8 @@ def dirichlet_weight(nu: int, j: int, m: int) -> Fraction:
 
     The Gamma block is rational, 2(2nu-2)!(2nu)! / (3 4^(2nu-1) (nu-1)! nu!),
     from Gamma(k+1/2) = (2k)! sqrt(pi) / (4^k k!), so pi enters only
-    through (6/pi)^(2nu-1).
+    through (6/pi)^(2nu-1).  Each rising(x, j) = x(x+1)...(x+j-1) is
+    evaluated as the falling factorial (x+j-1)_j.
     """
     if nu < 2:
         raise ValueError("dirichlet_weight needs nu >= 2")
@@ -110,9 +110,9 @@ def dirichlet_weight(nu: int, j: int, m: int) -> Fraction:
     gammas = Fraction(2 * f(2 * nu - 2) * f(2 * nu), 3 * 4 ** (2 * nu - 1) * f(nu - 1) * f(nu))
     combinatorial = Fraction(f(2 * nu + m - 2), f(j) * f(m) * f(2 * nu - j - 2))
     ratio = (
-        rising_factorial(nu - j - 1, nu)
-        * rising_factorial(Fraction(3, 2), j)
-        / (rising_factorial(Fraction(-1, 2) - j, nu) * rising_factorial(Fraction(5, 2), j))
+        falling_factorial(2 * nu - j - 2, nu)
+        * falling_factorial(Fraction(2 * j + 1, 2), j)
+        / (falling_factorial(Fraction(2 * nu - 2 * j - 3, 2), nu) * falling_factorial(Fraction(2 * j + 3, 2), j))
     )
     sign = -1 if j % 2 == 0 else 1  # (-1)^(j+1)
     return gammas * 6 ** (2 * nu - 1) * (sign * combinatorial * ratio)

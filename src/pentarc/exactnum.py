@@ -2,12 +2,12 @@
 
 Rationals are plain ``fractions.Fraction``; on top of that this module
 provides Bernoulli numbers under the B_1 = -1/2 convention (from one
-integer table of tangent numbers), falling/rising factorials including the
-negative-index falling factorial (x)_m := 1/(x)_{-m} for m <= -1,
-arithmetic in a real quadratic field Q(sqrt(d)), and the one exact linear
-solver, generic over those fields.
-
-All values are immutable; all operations are pure functions.
+integer table of tangent numbers), the falling factorial including the
+negative-index case (x)_m := 1/(x)_{-m} for m <= -1, the Kronecker symbol
+(a|n), arithmetic in a real quadratic field Q(sqrt(d)), and the one exact
+linear solver ``solve``, generic over those fields.  It imports only
+``errors``, so the eta multiplier can use the Kronecker symbol without
+loading the Hecke stack.  Values are immutable; operations are pure.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ __all__ = [
     "QuadNum",
     "bernoulli",
     "falling_factorial",
-    "rising_factorial",
-    "rref",
+    "kronecker_symbol",
     "solve",
     "squarefree_split",
 ]
@@ -47,7 +46,6 @@ def _tangent_numbers(kmax: int) -> tuple[int, ...]:
     return tuple(t)
 
 
-@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 13 n
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2 (so E_4 = 1 + 240q + ...).
 
@@ -84,20 +82,46 @@ def falling_factorial(x: Fraction | int, m: int) -> Fraction:
     return 1 / base
 
 
-def rising_factorial(x: Fraction | int, j: int) -> Fraction:
-    """Rising factorial x(x+1)...(x+j-1), with empty product 1 for j = 0."""
-    if j < 0:
-        raise ValueError("rising factorial needs j >= 0")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(j):
-        out *= x + i
-    return out
+def kronecker_symbol(a: int, n: int) -> int:
+    """General Kronecker symbol (a|n) for any integers."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -sign
+    # factor out 2s from n
+    twos = 0
+    while n % 2 == 0:
+        n //= 2
+        twos += 1
+    if twos:
+        if a % 2 == 0:
+            return 0
+        if twos % 2 and a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    # Jacobi symbol (a|n) for odd n > 0 by quadratic reciprocity
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+#: the largest trial divisor of ``squarefree_split``
+_SQUAREFREE_BOUND = 10**6
 
 
 @lru_cache(maxsize=32)
-def squarefree_split(n: int, bound: int = 10**6) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; trial division up to ``bound``.
+def squarefree_split(n: int) -> tuple[int, int]:
+    """n = s^2 * d with d squarefree; trial division to ``_SQUAREFREE_BOUND``.
 
     Errors when the square part cannot be certified (a prime factor above
     the bound could still appear squared).  ``QuadNum`` validates its d
@@ -108,7 +132,7 @@ def squarefree_split(n: int, bound: int = 10**6) -> tuple[int, int]:
     s, d = 1, 1
     rest = n
     p = 2
-    while p <= bound and p * p <= rest:
+    while p <= _SQUAREFREE_BOUND and p * p <= rest:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -122,11 +146,11 @@ def squarefree_split(n: int, bound: int = 10**6) -> tuple[int, int]:
         r = math.isqrt(rest)
         if r * r == rest:
             s *= r
-        elif rest <= bound * bound:
+        elif rest <= _SQUAREFREE_BOUND**2:
             d *= rest  # no factor <= bound, so rest is squarefree
         else:
             raise UnsupportedHeckeFieldError(
-                f"cannot certify squarefree part of {n} with trial division to {bound}"
+                f"cannot certify squarefree part of {n} with trial division to {_SQUAREFREE_BOUND}"
             )
     return s, d
 
@@ -246,43 +270,27 @@ class QuadNum:
         return f"QuadNum({self.a} + {self.b}*sqrt({self.d}))"
 
 
-def rref(rows: list[list]) -> list[list]:
-    """Reduced row echelon form over an exact field, zero rows dropped.
+def solve(matrix: list[list], rhs: list) -> list:
+    """The x with matrix x = rhs for a square system over an exact field,
+    by one Gauss-Jordan pass on [matrix | rhs].
 
     Entries must be field elements (``Fraction`` or ``QuadNum``): int / int
     would divide to float.  Each pivot is the first nonzero entry of its
-    column and is scaled to 1.
-    """
-    rows = [row[:] for row in rows]
-    n_cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(n_cols):
-        if pivot_row == len(rows):
-            break
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [v / lead for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return [row for row in rows if any(row)]
-
-
-def solve(matrix: list[list], rhs: list) -> list:
-    """The x with matrix x = rhs for a square system over an exact field,
-    read from the reduced form of [matrix | rhs].
-
-    Every caller solves a system the mathematics makes nonsingular, so a
-    singular one raises InternalCancellationError.
+    column at or below the diagonal, scaled to 1.  Every caller solves a
+    system the mathematics makes nonsingular, so a column without a pivot
+    raises InternalCancellationError.
     """
     n = len(matrix)
-    reduced = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    # full rank puts row i's leading 1 in column i
-    if len(reduced) != n or any(reduced[i][i] != 1 for i in range(n)):
-        raise InternalCancellationError(f"singular {n}x{n} linear system")
-    return [row[n] for row in reduced]
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise InternalCancellationError(f"singular {n}x{n} linear system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]

@@ -6,8 +6,12 @@ The recurrence generalizing Euler's: for nu >= 0 and n >= 1,
     p(n) = ( -(4 nu / B_{2 nu}) C(2nu-2, nu-2) sigma_{2nu-1}(n) + trace(n)
              + sum_{k != 0} (-1)^(k+1) w_nu(n,k) p(n - omega(k)) ) / w_nu(n,0)
 
-where omega(k) = (3k^2+k)/2 and w_nu(n,k) is the weight polynomial
-``recurrence_weight`` below (identically 1 at nu = 0, recovering Euler).
+where omega(k) = (3k^2+k)/2 and w_nu(n,k), the paper's g_nu(n,k), is the
+weight polynomial ``recurrence_weight`` below, a Jacobi polynomial:
+
+    w_nu(n,k) = (24n)^nu P_nu^(-3/2,-1/2)((2u - 24n) / (24n)),  u = (6k+1)^2
+
+(identically 1 at nu = 0, recovering Euler).
 """
 
 from __future__ import annotations
@@ -146,9 +150,11 @@ def recurrence_weight(nu: int, n: int, k: int) -> Fraction:
 
         pref(nu) * sum_{r=0}^{nu} (-1)^(nu+r) (2nu-2r-1) / ((2r)! (2nu-2r)!)
                    * u^r * (24n - u)^(nu-r)
+          = (24n)^nu P_nu^(-3/2,-1/2)((2u - 24n) / (24n)),
 
-    At nu = 0 this is identically 1; at nu = 2 it equals
-    216 n^2 - 36 u n + u^2.  Summed as an integer numerator over the
+    with P_nu^(a,b)(x) = sum_s C(nu+a, nu-s) C(nu+b, s) ((x-1)/2)^s ((x+1)/2)^(nu-s)
+    the Jacobi polynomial.  At nu = 0 this is identically 1; at nu = 2 it
+    equals 216 n^2 - 36 u n + u^2.  Summed as an integer numerator over the
     per-nu denominator of ``bracket_weights``.
     """
     weights, factor = bracket_weights(nu)

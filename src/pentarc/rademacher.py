@@ -29,7 +29,8 @@ Below x = 1 the bracket of I_{3/2} is a Taylor sum, each term x^2 times a
 ratio of small integers times the last.  The ratios are a table of float
 pairs for k = 2..11, and every x < 1 stops the sum by k = 11.
 Partial sums over c <= C round to p(n); the residual imaginary part is
-reported, never discarded.
+reported, never discarded.  The multiplier's Kronecker symbol comes from
+the leaf ``exactnum``, so this module loads none of the Hecke stack.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import kronecker_symbol
 from .errors import PrecisionError
+from .exactnum import kronecker_symbol
 
 __all__ = [
     "CUSP_WIDTH",
@@ -229,18 +230,13 @@ def rademacher_pn(n: int, depth: int = 50) -> RademacherEstimate:
     # K_c sums one representative per coset (phi(c) terms), so the
     # prefactor is the classical 2 pi.
     pref = -(1j ** 2.5) * (2.0 * math.pi) * x24 ** -0.75
-    # the Bessel argument pi sqrt(24n - 1) / (6c), rounded as written
+    # the Bessel argument pi sqrt(24n - 1) / (6c), rounded as written, is largest at c = 1
     root = math.pi * math.sqrt(x24)
+    if n > MAX_N:
+        raise PrecisionError(f"p({n}): I_3/2({root / 6.0:.6g}) at c = 1 leaves the binary64 range")
     acc = 0j
     for c in range(1, depth + 1):
-        kc = kloosterman(c, -24, idx)
-        x = root / (6.0 * c)
-        try:
-            acc += kc.value / c * bessel_i32(x)
-        except OverflowError:
-            raise PrecisionError(
-                f"p({n}): I_3/2({x:.6g}) at c = {c} leaves the binary64 range"
-            ) from None
+        acc += kloosterman(c, -24, idx).value / c * bessel_i32(root / (6.0 * c))
     total = pref * acc
     nearest = round(total.real)
     return RademacherEstimate(

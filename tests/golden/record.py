@@ -66,6 +66,14 @@ GOLDEN: dict[str, list[list[str]]] = {
         ["trace", "12", "40"],
         ["--format", "csv", *_PARTITION],
         ["--format", "text", *_PARTITION],
+        # README's example lines
+        ["pnu", "6"],
+        ["trace", "12", "5"],
+        ["gpoly", "2", "1", "--k=-3..3"],
+        ["partition", "1..20", "--method", "trace:6", "--cross-check"],
+        # 4 x 4 and 7 x 7 exact solves in the decomposition
+        ["pnu", "18"],
+        ["pnu", "40"],
     ],
     # every other command's JSON, the help texts, and requests refused with exit 2
     "commands.json": [

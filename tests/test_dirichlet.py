@@ -8,7 +8,6 @@ import pytest
 
 from pentarc import dirichlet as dmod
 from pentarc._coeffs import cusp_monomial_coeffs
-from pentarc.arith import kronecker_symbol
 from pentarc.dirichlet import (
     DEFAULT_BIG_M,
     MIN_BIG_N,
@@ -25,7 +24,7 @@ from pentarc.dirichlet import (
     petersson_norm_estimate,
 )
 from pentarc.errors import InternalCancellationError, PrecisionError
-from pentarc.exactnum import QuadNum
+from pentarc.exactnum import QuadNum, kronecker_symbol
 from pentarc.forms import _monomial_exponents, delta
 from pentarc.hecke import eigen_coordinates, eigenform_projections, eigenforms
 from pentarc.verify import run_suite

@@ -13,8 +13,6 @@ from pentarc.exactnum import (
     QuadNum,
     bernoulli,
     falling_factorial,
-    rising_factorial,
-    rref,
     solve,
     squarefree_split,
 )
@@ -77,7 +75,6 @@ def test_bernoulli_von_staudt_clausen():
 
 def test_bernoulli_tables_grow_by_doubling():
     exactnum._tangent_numbers.cache_clear()
-    bernoulli.cache_clear()
     for n in range(2, 401, 2):
         bernoulli(n)
     assert exactnum._tangent_numbers.cache_info().misses == 9  # kmax = 1, 2, 4, ..., 256
@@ -111,21 +108,6 @@ def test_falling_factorial_inverse_property():
         assert prod == 1
 
 
-def test_rising_factorial_examples():
-    assert rising_factorial(F(3, 2), 0) == 1
-    assert rising_factorial(F(-3, 2), 2) == F(3, 4)
-    # hits zero as soon as the base has climbed through 0
-    assert rising_factorial(6 - 5 - 1, 6) == 0
-
-
-def test_rising_vs_falling():
-    rng = random.Random(12)
-    for _ in range(60):
-        x = F(rng.randrange(-30, 30), rng.randrange(1, 7))
-        j = rng.randrange(0, 11)
-        assert rising_factorial(x, j) == (-1) ** j * falling_factorial(-x, j)
-
-
 def test_quadnum_norm_is_rational():
     rng = random.Random(13)
     for _ in range(100):
@@ -156,9 +138,10 @@ def test_squarefree_split():
         s, d = squarefree_split(n)
         assert s * s * d == n, n
         assert all(d % (p * p) for p in range(2, isqrt(d) + 1)), n
-    assert squarefree_split(13 * 13, bound=10) == (13, 1)  # a square left over past the bound
-    with pytest.raises(UnsupportedHeckeFieldError):
-        squarefree_split(13 * 17 * 19, bound=10)  # 4199 > 10^2: a square factor cannot be ruled out
+    big, bigger = 10**6 + 3, 10**6 + 33  # primes past the trial-division bound
+    assert squarefree_split(big * big) == (big, 1)  # a square left over past the bound
+    with pytest.raises(UnsupportedHeckeFieldError, match="trial division to 1000000"):
+        squarefree_split(big * bigger)  # > (10^6)^2: a square factor cannot be ruled out
     with pytest.raises(ValueError):
         squarefree_split(0)
     # QuadNum validates d through it on every construction
@@ -185,10 +168,6 @@ def square_systems(entries):
     return st.integers(1, 4).flatmap(
         lambda n: st.tuples(matrices(entries, n, n), st.lists(entries, min_size=n, max_size=n))
     )
-
-
-def rectangular(entries):
-    return st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(lambda rc: matrices(entries, *rc))
 
 
 def leibniz_det(matrix):
@@ -220,19 +199,6 @@ def test_solve_is_exact_or_rejects_a_singular_system(system):
     else:
         with pytest.raises(InternalCancellationError):
             solve(matrix, b)
-
-
-@SOLVER
-@given(st.one_of(rectangular(rationals), rectangular(quadratics)))
-def test_rref_is_idempotent_and_reduced(rows):
-    reduced = rref(rows)
-    assert rref(reduced) == reduced
-    assert len(reduced) <= len(rows)
-    leads = [next(j for j, v in enumerate(row) if v) for row in reduced]
-    assert leads == sorted(set(leads))
-    for i, j in enumerate(leads):
-        assert reduced[i][j] == 1
-        assert all(not other[j] for r, other in enumerate(reduced) if r != i)
 
 
 def test_solve_rejects_singular_systems():

@@ -24,20 +24,19 @@ PACKAGE = Path(pentarc.__file__).parent
 #: module -> the pentarc modules it may import (function-local imports included)
 LAYERS = {
     "errors": set(),
-    "arith": set(),
     "exactnum": {"errors"},
     "qseries": {"errors"},
     "_coeffs": {"exactnum", "qseries"},
-    "rademacher": {"arith", "errors"},
+    "rademacher": {"errors", "exactnum"},
     "partitions": {"errors", "exactnum"},
     "serialize": {"exactnum", "qseries"},
     "forms": {"_coeffs", "errors", "exactnum", "qseries"},
     "rankincohen": {"errors", "exactnum", "partitions", "qseries"},
     "hecke": {"errors", "exactnum", "forms", "qseries", "rankincohen"},
-    "dirichlet": {"arith", "errors", "exactnum", "forms", "hecke"},
+    "dirichlet": {"errors", "exactnum", "forms", "hecke"},
     "verify": {
-        "arith", "dirichlet", "exactnum", "forms", "hecke", "partitions", "qseries",
-        "rademacher", "rankincohen",
+        "dirichlet", "exactnum", "forms", "hecke", "partitions", "qseries", "rademacher",
+        "rankincohen",
     },
     "cli": {
         "dirichlet", "errors", "forms", "hecke", "partitions", "qseries", "rademacher",
@@ -107,7 +106,7 @@ def test_parser_sees_every_import_form(tmp_path):
     source.write_text(
         "import os\n"
         "from . import forms, hecke\n"
-        "from .arith import kronecker_symbol\n"
+        "from .exactnum import kronecker_symbol\n"
         "def f():\n"
         "    from .errors import PrecisionError\n"
         "    import pentarc.qseries\n"
@@ -116,7 +115,7 @@ def test_parser_sees_every_import_form(tmp_path):
         encoding="utf-8",
     )
     assert package_imports(source) == {
-        "forms", "hecke", "arith", "errors", "qseries", "partitions", "verify",
+        "forms", "hecke", "exactnum", "errors", "qseries", "partitions", "verify",
     }
 
 

@@ -3,15 +3,15 @@ installed for the tests only (``tests/test_layering.py`` keeps it out of
 ``src/``)."""
 
 import math
+from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from pentarc.arith import kronecker_symbol
-from pentarc.exactnum import bernoulli, squarefree_split
-from pentarc.partitions import partition_table, sigma
+from pentarc.exactnum import bernoulli, kronecker_symbol, squarefree_split
+from pentarc.partitions import partition_table, recurrence_weight, sigma
 
 #: m of sigma_m: the weights 2nu - 1 the recurrence reads (nu = 2, 6, 12, 200) and m = 1
 SIGMA_M = (1, 3, 11, 23, 399)
@@ -60,3 +60,26 @@ def test_squarefree_split_matches_sympy_factorint():
             math.prod(p ** (e // 2) for p, e in exponents),
             math.prod(p ** (e % 2) for p, e in exponents),
         ), n
+
+
+def _jacobi_terms(nu: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+    """C(nu+alpha, nu-s) C(nu+beta, s) for s = 0..nu, generalized binomials from sympy."""
+    def binomial(a: Fraction, m: int) -> Fraction:
+        value = sympy.binomial(sympy.Rational(a.numerator, a.denominator), m)
+        return Fraction(int(value.p), int(value.q))
+
+    return [binomial(nu + alpha, nu - s) * binomial(nu + beta, s) for s in range(nu + 1)]
+
+
+def test_recurrence_weight_is_a_jacobi_polynomial():
+    """g_nu(n, k) = (24n)^nu P_nu^(-3/2,-1/2)((2u - 24n)/(24n)), u = (6k+1)^2, with
+    P_nu^(a,b)(x) = sum_s C(nu+a, nu-s) C(nu+b, s) ((x-1)/2)^s ((x+1)/2)^(nu-s),
+    the explicit sum (sympy's jacobi recurrence divides by zero at a + b = -2).
+    It shares nothing with the bracket weights' falling-factorial prefactor."""
+    for nu in (*range(13), 20, 40):
+        terms = _jacobi_terms(nu, Fraction(-3, 2), Fraction(-1, 2))
+        for n in (1, 2, 7, 100, -3):
+            for k in (0, 1, -1, 3, -5):
+                x = Fraction(2 * (6 * k + 1) ** 2 - 24 * n, 24 * n)
+                jacobi = sum(c * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (nu - s) for s, c in enumerate(terms))
+                assert recurrence_weight(nu, n, k) == (24 * n) ** nu * jacobi, (nu, n, k)

@@ -416,6 +416,9 @@ def test_max_n_is_the_last_n_inside_binary64():
     assert math.isfinite(rademacher_pn(MAX_N).estimate)
     with pytest.raises(PrecisionError, match=rf"p\({MAX_N + 1}\): .* at c = 1 leaves the binary64 range"):
         rademacher_pn(MAX_N + 1)
+    # the check before the c loop is tight: the c = 1 term past MAX_N does overflow
+    with pytest.raises(OverflowError):
+        bessel_i32(math.pi * math.sqrt(24 * (MAX_N + 1) - 1) / 6.0)
 
 
 def test_rademacher_does_not_import_the_hecke_stack():

@@ -3,16 +3,15 @@ suite that passes has compared something."""
 
 import pytest
 
-from pentarc import dirichlet, forms, hecke, partitions, rankincohen, verify
+from pentarc import dirichlet, forms, hecke, partitions, qseries, rankincohen, verify
 from pentarc.cli import main
-from pentarc.qseries import IntQSeries
 
 
-def _plus_one_at(series, n):
-    """``series`` with 1 added to its coefficient at q^n."""
+def _plus_one_at(series, e):
+    """``series`` with 1 added to its coefficient at grid point e (q^e, or q^(e/24) on the 1/24 grid)."""
     coeffs = list(series.coeffs)
-    coeffs[n - series.offset] += series.den
-    return IntQSeries._make(series.offset, coeffs, series.den)
+    coeffs[e - series.start] += series.den
+    return type(series)._make(series.start, coeffs, series.den)
 
 
 def _flip_kron12(monkeypatch):
@@ -70,6 +69,39 @@ def _bump_tau(monkeypatch):
     monkeypatch.setattr(forms, "delta", lambda prec: _plus_one_at(real(prec), 7))
 
 
+def _bump_eta_product(monkeypatch):
+    real = qseries.eta_product_expansion
+    monkeypatch.setattr(qseries, "eta_product_expansion", lambda prec24: _plus_one_at(real(prec24), 49))
+
+
+def _bump_e6(monkeypatch):
+    real = forms.eisenstein
+
+    def bumped(weight, prec):
+        return _plus_one_at(real(weight, prec), 7) if weight == 6 else real(weight, prec)
+
+    monkeypatch.setattr(forms, "eisenstein", bumped)
+
+
+def _bump_eta_inverse(monkeypatch):
+    real = qseries.eta_inverse_expansion
+    monkeypatch.setattr(qseries, "eta_inverse_expansion", lambda prec24: _plus_one_at(real(prec24), 47))
+
+
+def _bump_eigenvalue(monkeypatch):
+    real = hecke.eigenforms
+
+    def bumped(weight):
+        if weight != 12:
+            return real(weight)
+        (f,) = real(weight)
+        coeffs = list(f.coeffs)
+        coeffs[7] += 1
+        return (f._replace(coeffs=tuple(coeffs)),)
+
+    monkeypatch.setattr(hecke, "eigenforms", bumped)
+
+
 @pytest.mark.parametrize(
     "suite, corrupt",
     [
@@ -79,8 +111,13 @@ def _bump_tau(monkeypatch):
         ("projections", _shift_projection),
         ("operator-series", _bump_column_bracket),
         ("bracket-degenerate", _bump_order_one_bracket),
+        ("bracket-degenerate", _bump_column_bracket),
         ("trace-recurrence", _bump_trace),
         ("ramanujan-691", _bump_tau),
+        ("pnt", _bump_eta_product),
+        ("ramanujan-derivatives", _bump_e6),
+        ("eta-log-derivative", _bump_eta_inverse),
+        ("eigenforms", _bump_eigenvalue),
     ],
 )
 def test_suite_fails_on_a_corrupted_value(monkeypatch, capsys, suite, corrupt):
