@@ -100,13 +100,11 @@ def _cusp_lattice(weight: int, length: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) + row.coeffs for row in _monomial_rows(weight - 12, delta_over_q))
 
 
-def cusp_monomial_coeffs(a4: int, b6: int, indices: tuple[int, ...], mmax: int) -> list[int]:
+def cusp_monomial_coeffs(a4: int, b6: int, indices: tuple[int, ...]) -> list[int]:
     """Exact integer coefficients of Delta E4^a4 E6^b6 at the given indices.
 
     Read from row a4 // 3 of the cached Delta lattice of its weight through
-    q^mmax.
+    q^max(indices).
     """
-    if max(indices, default=0) > mmax:
-        raise ValueError(f"index {max(indices)} beyond table size {mmax}")
-    row = _cusp_lattice(12 + 4 * a4 + 6 * b6, mmax + 1)[a4 // 3]
+    row = _cusp_lattice(12 + 4 * a4 + 6 * b6, max(indices) + 1)[a4 // 3]
     return [row[m] for m in indices]

@@ -27,7 +27,6 @@ from typing import NamedTuple, get_type_hints
 from . import dirichlet as dmod
 from . import forms, hecke, partitions, rademacher, rankincohen, verify
 from .errors import InternalCancellationError, NotInSpaceError, PentarcError
-from .qseries import DEFAULT_PREC
 from .serialize import dumps, jsonable
 
 ENV_PREFIX = "PENTARC_"
@@ -59,7 +58,7 @@ MAX_DPS = 1000
 
 
 class RunConfig(NamedTuple):
-    prec: int = DEFAULT_PREC
+    prec: int = 60
     big_m: int = dmod.DEFAULT_BIG_M
     big_n: int | None = None  # None -> per-weight default
     depth_c: int = 50

@@ -259,7 +259,8 @@ class QuadNum:
         return self.d == other.d and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational value equals its Fraction, so it must hash as one
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

@@ -73,7 +73,7 @@ def cusp_monomials(weight: int, length: int) -> list[list[int]]:
     in the (a, b) order of ``_monomial_exponents(weight - 12)``: the basis
     of S_weight, every member starting with q."""
     indices = tuple(range(length))
-    return [cusp_monomial_coeffs(a, b, indices, length - 1) for a, b in _monomial_exponents(weight - 12)]
+    return [cusp_monomial_coeffs(a, b, indices) for a, b in _monomial_exponents(weight - 12)]
 
 
 def dim_modular(weight: int) -> int:

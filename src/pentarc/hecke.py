@@ -99,7 +99,6 @@ class Eigenform(NamedTuple):
 
 
 class TraceSeries(NamedTuple):
-    nu: int
     values: tuple[Fraction, ...]  # values[n] for n = 0..N, values[0] = 0
 
     def value(self, n: int) -> Fraction:
@@ -218,9 +217,9 @@ def trace_series(nu: int, n_max: int) -> TraceSeries:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if dim_cusp(2 * nu) == 0:
-        return TraceSeries(nu, tuple([Fraction(0)] * (n_max + 1)))
+        return TraceSeries(tuple([Fraction(0)] * (n_max + 1)))
     cusp = cusp_part(nu, n_max + 1)
-    return TraceSeries(nu, (Fraction(0),) + tuple(cusp.coeff(n) for n in range(1, n_max + 1)))
+    return TraceSeries((Fraction(0),) + tuple(cusp.coeff(n) for n in range(1, n_max + 1)))
 
 
 @lru_cache(maxsize=8)

@@ -44,7 +44,7 @@ def pentagonal(k: int) -> int:
     return (3 * k * k + k) // 2
 
 
-@lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 9 n_max
+@lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 10 n_max
 def pentagonal_terms(n_max: int) -> tuple[tuple[int, int], ...]:
     """(k, omega(k)) for every k != 0 with omega(k) <= n_max, ascending in omega.
 
@@ -72,7 +72,7 @@ class PartitionTable(NamedTuple):
         return self.values[n]
 
 
-@lru_cache(maxsize=8)  # ``verify all`` reads 9 n_max, so its warm pass rebuilds p(0..200); 12.2 MB at 10^5
+@lru_cache(maxsize=8)  # ``verify all`` reads 10 n_max, so its warm pass rebuilds p(0..200); 12.2 MB at 10^5
 def partition_table(n_max: int) -> PartitionTable:
     """p(n) for n <= n_max by the signed pentagonal recurrence, walking
     ``pentagonal_terms`` up to omega(k) = n."""
@@ -161,7 +161,7 @@ def recurrence_weight(nu: int, n: int, k: int) -> Fraction:
     return factor * _weight_numerator(weights, n, k)
 
 
-class PackedWeights(NamedTuple):
+class _PackedWeights(NamedTuple):
     """The signed weights of the pentagonal walk to n_max, Kronecker-packed.
 
     ``omegas[m]`` is omega(k) for the m-th k of ``pentagonal_terms(n_max)``,
@@ -178,8 +178,8 @@ class PackedWeights(NamedTuple):
     width: int
 
 
-@lru_cache(maxsize=16)  # ``verify all`` reads 27 (nu, n_max) cold and none warm; 11.2 MB at (200, 10^4)
-def _weight_columns(nu: int, n_max: int) -> PackedWeights:
+@lru_cache(maxsize=16)  # ``verify all`` reads 29 (nu, n_max) cold and none warm; 11.2 MB at (200, 10^4)
+def _weight_columns(nu: int, n_max: int) -> _PackedWeights:
     """W(n, k) = sum_j w_j (24n - u)^j u^(nu-j) expanded in powers of 24n,
     e_i = sum_{j >= i} (-1)^(j-i) C(j, i) w_j for the w_j of
     ``bracket_weights``, its columns c_i packed into one int per k.
@@ -209,7 +209,7 @@ def _weight_columns(nu: int, n_max: int) -> PackedWeights:
         int.from_bytes(b"".join((c + h).to_bytes(b - a, "little") for c, (a, b, h) in zip(cs, slots)), "little") - bias
         for cs in zip(*columns)
     )
-    return PackedWeights(tuple(w for _, w in terms), keys, tuple(slots), bias, width)
+    return _PackedWeights(tuple(w for _, w in terms), keys, tuple(slots), bias, width)
 
 
 def pentagonal_numerator_sum(nu: int, n: int, ptable: PartitionTable) -> int:

@@ -44,9 +44,6 @@ from typing import Iterable, Sequence
 
 from .errors import InternalCancellationError, PrecisionError
 
-#: default number of integer q-coefficients for CLI-facing verifications
-DEFAULT_PREC = 60
-
 
 def _bias_run(k: int, length: int) -> int:
     """The packed list holding the bias 2^(8k-1) in each of ``length`` slots."""
@@ -205,8 +202,6 @@ class _Series:
             return NotImplemented
         lo = min(self.start, other.start)
         hi = min(self._end, other._end)
-        if hi <= lo:
-            raise PrecisionError("operands have no common known range")
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         nums = [x * fa + y * fb for x, y in zip(self._window(lo, hi), other._window(lo, hi))]

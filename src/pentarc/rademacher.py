@@ -29,8 +29,9 @@ Below x = 1 the bracket of I_{3/2} is a Taylor sum, each term x^2 times a
 ratio of small integers times the last.  The ratios are a table of float
 pairs for k = 2..11, and every x < 1 stops the sum by k = 11.
 Partial sums over c <= C round to p(n); the residual imaginary part is
-reported, never discarded.  The multiplier's Kronecker symbol comes from
-the leaf ``exactnum``, so this module loads none of the Hecke stack.
+reported, never discarded.  The multiplier is the exact pair (sign, e),
+sign * exp(pi i e/12); its Kronecker symbol comes from the leaf
+``exactnum``, so this module loads none of the Hecke stack.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "CUSP_PARAMETER",
     "MAX_DEPTH_C",
     "MAX_N",
-    "Root24",
     "eta_multiplier",
     "KloostermanSum",
     "kloosterman",
@@ -70,19 +70,11 @@ MAX_DEPTH_C = 1000
 MAX_N = int(((6 / math.pi * (math.log(sys.float_info.max) + math.log(2))) ** 2 + 1) / 24)
 
 
-class Root24(NamedTuple):
-    """sign * exp(pi i e / 12): an exact sign +-1 times a 24th root of unity,
-    with e in 0..23."""
-
-    sign: int
-    e: int
-
-    def value(self) -> complex:
-        return self.sign * cmath.exp(1j * math.pi * self.e / 12)
-
-
-def eta_multiplier(a: int, b: int, c: int, d: int) -> Root24:
+def eta_multiplier(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """Automorphy multiplier of eta: eta(gamma tau) = eps (c tau + d)^(1/2) eta(tau).
+
+    Returns the exact pair (sign, e) with eps = sign * exp(pi i e/12), sign
+    +-1 and e in 0..23.
 
     Two-case closed form with Kronecker-Legendre symbols:
 
@@ -106,11 +98,10 @@ def eta_multiplier(a: int, b: int, c: int, d: int) -> Root24:
         sign = sym if not (c < 0 and d < 0) else -sym
     if sign == 0:
         raise ValueError("degenerate Kronecker symbol; entries not coprime")
-    return Root24(sign, e % 24)
+    return sign, e % 24
 
 
 class KloostermanSum(NamedTuple):
-    c: int
     value: complex
     term_count: int
 
@@ -126,8 +117,8 @@ def _pair_data(c: int) -> tuple[tuple[int, int, int, int], ...]:
         if gcd(d, c) != 1:
             continue
         a = pow(d, -1, c)
-        eps = eta_multiplier(a, (a * d - 1) // c, c, d)
-        rows.append((eps.sign, eps.e, a, d))
+        sign, e = eta_multiplier(a, (a * d - 1) // c, c, d)
+        rows.append((sign, e, a, d))
     return tuple(rows)
 
 
@@ -149,7 +140,7 @@ def _kloosterman_sum(c: int, m: int, n: int) -> KloostermanSum:
     value = 0j
     for sign, e, a, d in rows:
         value += sign * cmath.exp(1j * (two_pi * ((e * c + mk * a + nk * d) % period) / den))
-    return KloostermanSum(c, value, len(rows))
+    return KloostermanSum(value, len(rows))
 
 
 def kloosterman(c: int, m: int, n: int) -> KloostermanSum:

@@ -43,7 +43,6 @@ from .partitions import (
     bracket_weights,
     partition_table,
     pentagonal_numerator_sum,
-    recurrence_weight,
 )
 from .qseries import IntQSeries, QSeries24, euler_expansion
 
@@ -51,7 +50,6 @@ __all__ = [
     "eta_bracket",
     "eta_bracket_from_partitions",
     "rankin_cohen",
-    "recurrence_weight",
 ]
 
 
@@ -96,7 +94,7 @@ def eta_bracket(nu: int, prec: int) -> IntQSeries:
     return acc.scale(factor)
 
 
-@lru_cache(maxsize=64)  # a ``verify all`` pass, the busiest workload, reads 25 (nu, prec)
+@lru_cache(maxsize=64)  # a ``verify all`` pass, the busiest workload, reads 27 (nu, prec)
 def eta_bracket_from_partitions(nu: int, prec: int) -> IntQSeries:
     """eta_bracket(nu) from partition numbers alone: the commands' bracket."""
     if nu < 0:

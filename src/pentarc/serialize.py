@@ -21,34 +21,7 @@ from json.encoder import encode_basestring_ascii as _string
 from .exactnum import QuadNum
 from .qseries import IntQSeries
 
-__all__ = [
-    "rat_str",
-    "float_str",
-    "quadnum_dict",
-    "int_series_dict",
-    "jsonable",
-    "dumps",
-]
-
-
-def rat_str(x: Fraction) -> str:
-    return str(x)
-
-
-def float_str(x: float) -> str:
-    return format(x, ".17g")
-
-
-def quadnum_dict(z: QuadNum) -> dict:
-    return {"a": rat_str(z.a), "b": rat_str(z.b), "d": z.d}
-
-
-def int_series_dict(s: IntQSeries) -> dict:
-    if s.den == 1:
-        coeffs = [str(c) for c in s.coeffs]
-    else:
-        coeffs = [rat_str(Fraction(c, s.den)) for c in s.coeffs]
-    return {"offset": s.offset, "prec": s.prec, "coeffs": coeffs}
+__all__ = ["jsonable", "dumps"]
 
 
 def jsonable(obj):
@@ -61,13 +34,15 @@ def jsonable(obj):
     if obj is None or isinstance(obj, (str, int)):  # the commonest leaves (bool is an int)
         return obj
     if isinstance(obj, Fraction):
-        return rat_str(obj)
+        return str(obj)
     if isinstance(obj, float):
-        return float_str(obj)
+        return format(obj, ".17g")
     if isinstance(obj, QuadNum):
-        return quadnum_dict(obj)
+        return {"a": str(obj.a), "b": str(obj.b), "d": obj.d}
     if isinstance(obj, IntQSeries):
-        return int_series_dict(obj)
+        den = obj.den
+        coeffs = [str(c) for c in obj.coeffs] if den == 1 else [str(Fraction(c, den)) for c in obj.coeffs]
+        return {"offset": obj.offset, "prec": obj.prec, "coeffs": coeffs}
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a record (NamedTuple) maps its fields

@@ -75,13 +75,11 @@ def check_bracket_degenerate() -> tuple[bool, str]:
     return ok, "order-0 bracket is 1, order-1 bracket is 0 (60 coefficients)"
 
 
-def check_operator_series(nu_max: int = 6, prec: int = 40) -> tuple[bool, str]:
-    for nu in range(nu_max + 1):
-        if not rankincohen.eta_bracket(nu, prec).agrees_with(
-            rankincohen.eta_bracket_from_partitions(nu, prec)
-        ):
+def check_operator_series() -> tuple[bool, str]:
+    for nu in range(7):
+        if not rankincohen.eta_bracket(nu, 40).agrees_with(rankincohen.eta_bracket_from_partitions(nu, 40)):
             return False, f"mismatch at nu={nu}"
-    return True, f"operator == partition side for nu<={nu_max} ({prec} coefficients)"
+    return True, "operator == partition side for nu<=6 (40 coefficients)"
 
 
 def check_corollaries() -> tuple[bool, str]:
@@ -177,15 +175,15 @@ def check_dirichlet_small() -> tuple[bool, str]:
     return ok, "exact small partial sums and hand-composed double sum"
 
 
-def check_rademacher(n_max: int = 15, depth: int = 30) -> tuple[bool, str]:
-    table = partitions.partition_table(n_max)
-    for n in range(1, n_max + 1):
-        r = rademacher.rademacher_pn(n, depth)
+def check_rademacher() -> tuple[bool, str]:
+    table = partitions.partition_table(15)
+    for n in range(1, 16):
+        r = rademacher.rademacher_pn(n, 30)
         if r.nearest != table.p(n) or r.gap >= 0.5:
             return False, f"n={n}: nearest={r.nearest}, gap={r.gap:.3g}"
         if r.imag > 1e-6 * max(1.0, abs(r.estimate)):
             return False, f"n={n}: imaginary residual {r.imag:.3g}"
-    return True, f"rounds to p(n) for n<={n_max} at depth {depth}"
+    return True, "rounds to p(n) for n<=15 at depth 30"
 
 
 CHECKS = {

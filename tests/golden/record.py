@@ -89,6 +89,9 @@ GOLDEN: dict[str, list[list[str]]] = {
         ["eigenforms", "12"],
         ["eigenforms", "24"],
         ["--format", "text", "rademacher", "1..5"],
+        # the flattened q-series and quadratic numbers of jsonable
+        ["--format", "csv", "pnu", "12"],
+        ["--format", "text", "pnu", "12"],
         ["--help"],
         *([command, "--help"] for command in _COMMANDS),
         ["partition"],

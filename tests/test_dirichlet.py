@@ -327,7 +327,7 @@ def _embedded_full_range(nu, N):
     indices = tuple((n * n - 1) // 24 for n in range(1, N + 1) if gcd(n, 12) == 1)
     exps = _monomial_exponents(2 * nu - 12)
     _, coords = eigen_coordinates(2 * nu)
-    tables = [cusp_monomial_coeffs(a, b, indices, indices[-1]) for a, b in exps]
+    tables = [cusp_monomial_coeffs(a, b, indices) for a, b in exps]
     out = []
     for c in coords:
         values = {}

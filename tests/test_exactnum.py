@@ -118,6 +118,13 @@ def test_quadnum_norm_is_rational():
         assert w.a == z.norm()
 
 
+@pytest.mark.parametrize("r", [F(0), F(3), F(1, 2), F(-33108590592, 691)])
+def test_rational_quadnum_hashes_as_its_value(r):
+    assert hash(QuadNum(r)) == hash(r)
+    assert r in {QuadNum(r)}
+    assert QuadNum(r) in {r}
+
+
 def test_quadnum_division_and_fields():
     z = QuadNum(F(1, 2), F(3), 13)
     w = QuadNum(2, -1, 13)

@@ -1,7 +1,8 @@
 """Module layering follows the math: each pentarc module imports only the
 modules below it.  And every cache in the package is bounded: each
 ``lru_cache`` has an integer maxsize, and no function keeps a memo of its
-own in a module-level list, dict or set.  What a cache returns is shared by
+own in a module-level list, dict or set.  Each benchmark workload's warm
+pass finds what it reads in the caches.  What a cache returns is shared by
 every caller, so it is a value: no caller can rebind its fields, it hashes,
 and no record type declares a container that could fill in place.
 
@@ -12,6 +13,10 @@ dropped one, must be written here on purpose.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +25,7 @@ import pytest
 import pentarc
 
 PACKAGE = Path(pentarc.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 #: module -> the pentarc modules it may import (function-local imports included)
 LAYERS = {
@@ -39,8 +45,8 @@ LAYERS = {
         "rankincohen",
     },
     "cli": {
-        "dirichlet", "errors", "forms", "hecke", "partitions", "qseries", "rademacher",
-        "rankincohen", "serialize", "verify",
+        "dirichlet", "errors", "forms", "hecke", "partitions", "rademacher", "rankincohen",
+        "serialize", "verify",
     },
     "__init__": {"dirichlet", "forms", "hecke", "partitions", "rademacher", "rankincohen"},
 }
@@ -199,6 +205,54 @@ def test_every_lru_cache_is_bounded():
             if callees & {"lru_cache", "cache"}:
                 fn = getattr(importlib.import_module(f"pentarc.{path.stem}"), node.name)
                 assert isinstance(fn.cache_parameters()["maxsize"], int), f"{path.stem}.{node.name}"
+
+
+#: each workload's requests run twice on cleared caches; prints the misses of
+#: the second pass, per workload and "module.function"
+WARM_SCAN = """
+import contextlib, io, json, sys
+import pentarc.cli as cli
+workloads = json.loads(sys.argv[1])
+caches = {
+    f"{modname[len('pentarc.'):]}.{name}": fn
+    for modname, module in list(sys.modules.items()) if modname.startswith("pentarc.")
+    for name, fn in vars(module).items()
+    if getattr(fn, "__module__", None) == modname and hasattr(fn, "cache_clear")
+}
+report = {}
+for workload, requests in workloads.items():
+    for fn in caches.values():
+        fn.cache_clear()
+    for _ in range(2):
+        before = {key: fn.cache_info().misses for key, fn in caches.items()}
+        for argv in requests:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+    report[workload] = {key: fn.cache_info().misses - before[key] for key, fn in caches.items()
+                        if fn.cache_info().misses > before[key]}
+print(json.dumps(report))
+"""
+
+
+def test_warm_benchmark_pass_misses_no_cache():
+    """Every cache holds what its workload reads, so the benchmark's warm pass
+    computes nothing again.  The one exception: ``verify all`` reads 10 n_max
+    of ``partition_table`` and ``pentagonal_terms``, whose 8 slots stay that
+    small because an entry at n_max = 10^5 takes 12.2 MB."""
+    workloads_py = ROOT / "perfbench" / "workloads.py"
+    namespace: dict = {}  # executed from its source text, so nothing is written beside it
+    exec(compile(workloads_py.read_text(encoding="utf-8"), str(workloads_py), "exec"), namespace)
+    workloads = {name: spec["requests"] for name, spec in namespace["WORKLOADS"].items()}
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", WARM_SCAN, json.dumps(workloads)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    misses = json.loads(run.stdout)
+    assert misses == {
+        **{name: {} for name in workloads},
+        "verify": {"partitions.partition_table": 1, "partitions.pentagonal_terms": 1},
+    }
 
 
 def test_cached_results_are_immutable():

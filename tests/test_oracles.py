@@ -53,7 +53,7 @@ def test_bernoulli_matches_sympy():
 
 
 def test_squarefree_split_matches_sympy_factorint():
-    # small n only: near the trial-division bound one split takes over a second
+    # small n only: a split that runs the whole trial division takes about 0.1 s
     for n in range(1, 2000):
         exponents = sympy.factorint(n).items()
         assert squarefree_split(n) == (

@@ -23,7 +23,6 @@ from pentarc.rademacher import (
     MAX_DEPTH_C,
     MAX_N,
     KloostermanSum,
-    Root24,
     _kloosterman_sum,
     _pair_data,
     bessel_i32,
@@ -76,19 +75,25 @@ def eta_numeric(tau, terms=4000):
     return out
 
 
+def multiplier_value(a, b, c, d):
+    """The complex value sign * exp(pi i e/12) of the exact multiplier (sign, e)."""
+    sign, e = eta_multiplier(a, b, c, d)
+    return sign * cmath.exp(1j * math.pi * e / 12)
+
+
 def test_multiplier_generators():
-    assert eta_multiplier(1, 1, 0, 1) == Root24(1, 1)
+    assert eta_multiplier(1, 1, 0, 1) == (1, 1)
     # exp(-pi i/4) = exp(pi i * 21 / 12)
-    assert eta_multiplier(0, -1, 1, 0) == Root24(1, 21)
+    assert eta_multiplier(0, -1, 1, 0) == (1, 21)
 
 
 def test_multiplier_is_24th_root():
     rng = random.Random(47)
     for _ in range(200):
         a, b, c, d = random_sl2(rng)
-        eps = eta_multiplier(a, b, c, d)
-        assert eps.sign in (1, -1) and 0 <= eps.e < 24, eps
-        assert abs(eps.value() ** 24 - 1) < 1e-12
+        sign, e = eta_multiplier(a, b, c, d)
+        assert sign in (1, -1) and 0 <= e < 24, (sign, e)
+        assert abs(multiplier_value(a, b, c, d) ** 24 - 1) < 1e-12
     with pytest.raises(ValueError):
         eta_multiplier(1, 1, 1, 1)
 
@@ -102,7 +107,7 @@ def test_multiplier_against_numeric_eta():
         a, b, c, d = random_sl2(rng, c_bound=150)
         gt = (a * tau + b) / (c * tau + d)
         lhs = eta_numeric(gt, terms=6000)
-        rhs = eta_multiplier(a, b, c, d).value() * cmath.sqrt(c * tau + d) * eta_numeric(tau)
+        rhs = multiplier_value(a, b, c, d) * cmath.sqrt(c * tau + d) * eta_numeric(tau)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs), (a, b, c, d)
         seen += 1
 
@@ -121,11 +126,11 @@ def test_multiplier_cocycle():
         c3 = c1 * a2 + d1 * c2
         d3 = c1 * b2 + d1 * d2
         g2tau = (a2 * tau + b2) / (c2 * tau + d2)
-        lhs = eta_multiplier(a3, b3, c3, d3).value() * cmath.sqrt(c3 * tau + d3)
+        lhs = multiplier_value(a3, b3, c3, d3) * cmath.sqrt(c3 * tau + d3)
         rhs = (
-            eta_multiplier(a1, b1, c1, d1).value()
+            multiplier_value(a1, b1, c1, d1)
             * cmath.sqrt(c1 * g2tau + d1)
-            * eta_multiplier(a2, b2, c2, d2).value()
+            * multiplier_value(a2, b2, c2, d2)
             * cmath.sqrt(c2 * tau + d2)
         )
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
@@ -141,9 +146,9 @@ def _phase_numerators_literal(c, m, n):
             if (a * d - 1) % c:
                 continue
             b = (a * d - 1) // c
-            eps = eta_multiplier(a, b, c, d)
-            r = (eps.e * c + (m + CUSP_PARAMETER) * a + (n + CUSP_PARAMETER) * d) % (24 * c)
-            out.append((eps.sign, r))
+            sign, e = eta_multiplier(a, b, c, d)
+            r = (e * c + (m + CUSP_PARAMETER) * a + (n + CUSP_PARAMETER) * d) % (24 * c)
+            out.append((sign, r))
     return out
 
 
@@ -191,7 +196,7 @@ def kloosterman_per_term(c, m, n):
     value = 0j
     for sign, r in terms:
         value += sign * cmath.exp(1j * (2.0 * math.pi * r / (24.0 * c)))
-    return KloostermanSum(c, value, len(terms))
+    return KloostermanSum(value, len(terms))
 
 
 def _hex(k):

@@ -47,8 +47,6 @@ ALLOWED = {
     "qseries._Series.__setattr__": "refuses assignment, which the package never makes",
     "exactnum.QuadNum.__hash__": "QuadNum defines __eq__, so without it an immutable number is unhashable",
     "exactnum.QuadNum.__rsub__": "QuadNum keeps the whole arithmetic protocol: int - z as well as z - int",
-    "rademacher.Root24.value": "the complex value of an exact multiplier, "
-    "against which tests check the transformation law",
 }
 
 SCAN = """
