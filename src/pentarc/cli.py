@@ -293,14 +293,14 @@ def cmd_pnu(args, cfg: RunConfig) -> tuple[dict, int]:
         "eisenstein_coefficient": bracket.coeff(0),
     }
     if nu >= 2:
-        space = forms.space_basis(2 * nu, prec)
-        record["monomial_coordinates"] = forms.decompose(bracket, space)
+        record["monomial_coordinates"] = forms.decompose(bracket, forms.space_basis(2 * nu, prec))
         # the cusp coordinates are traces 1..dim_cusp, from the series the projections read
-        traces = hecke.trace_series(nu, max(space.dim_cusp, 1))
-        record["cusp_coordinates"] = list(traces.values[1 : space.dim_cusp + 1])
-        if space.dim_cusp == 1:
+        dim_cusp = forms.dim_cusp(2 * nu)
+        traces = hecke.trace_series(nu, max(dim_cusp, 1))
+        record["cusp_coordinates"] = list(traces.values[1 : dim_cusp + 1])
+        if dim_cusp == 1:
             record["cusp_multiplier"] = traces.value(1)
-        if space.dim_cusp in (1, 2):
+        if dim_cusp in (1, 2):
             record["projections"] = list(hecke.eigenform_projections(nu))
     return {"results": record}, 0
 

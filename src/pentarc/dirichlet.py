@@ -21,27 +21,28 @@ a_f(2^e) a_f(u) a_f(v) over the pairwise coprime factors of
 nonzero terms (chi(n) a_f((n^2-1)/24), n) on each eigenform's record
 (``EmbeddedEigenform.terms``), in n order; the sums read nothing else.
 
-Summation is j-outer, m-inner, n-innermost, with Neumaier-compensated
-accumulation so results reproduce across platforms to >= 12 digits.  The
-double sum meets only M + nu - 1 distinct exponents s, and sums each
+Every sum is a ``math.fsum`` (Shewchuk, Discrete Comput. Geom. 18, 1997):
+the correctly rounded value of its float terms, so its bits do not depend
+on the order of the terms, and its summation error is at most half an ulp.
+The double sum meets only M + nu - 1 distinct exponents s, and sums each
 D(f, N; s) once; each partial sum stops at the first n whose n^(-s)
-underflows to 0.0, since every later term is 0.0 and leaves the sum's bits
-alone.  The float weights of a (nu, M, dps) are computed once and shared by
-all its eigenforms, and finished norm estimates are cached as values, so a
-warm request sums no series.
+underflows to 0.0, since every later term is 0.0 and leaves the sum alone.
+The float weights of a (nu, M, dps) are computed once and shared by all its
+eigenforms, and finished norm estimates are cached as values, so a warm
+request sums no series.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalCancellationError, PrecisionError
-from .exactnum import QuadNum, falling_factorial, kronecker_symbol
+from .exactnum import QuadNum, falling_factorial
 from .forms import dim_cusp
 from .hecke import eigen_pairs, eigenform_projections
 
@@ -69,8 +70,8 @@ MIN_BIG_N = 5
 #: tables reach index N + 1
 MAX_BIG_N = 1048574
 
-#: (12|n) by n mod 12, read from the general symbol
-_KRON12 = tuple(kronecker_symbol(12, n) for n in range(12))
+#: (12|n) by n mod 12, in closed form: +1 for n = +-1, -1 for n = +-5, else 0
+_KRON12 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 
 
 def default_big_n(nu: int) -> int:
@@ -143,51 +144,25 @@ def dirichlet_weight_float(nu: int, j: int, m: int, dps: int | None = None) -> f
     return _pi_scaled(nu, [(r.numerator, r.denominator)], dps)[0]
 
 
-def _neumaier_sum(values) -> float:
-    """Compensated (Kahan-Babuska-Neumaier) sum of ``values`` in order."""
-    total = comp = 0.0
-    for x in values:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
 class EmbeddedEigenform(NamedTuple):
-    """An eigenform of weight ``weight`` over Q(sqrt(disc)), sqrt(disc) > 0:
-    its nonzero twisted terms (chi(n) a_f((n^2-1)/24), float(n)) for n <= big_n,
-    in n order."""
+    """An eigenform of weight ``weight`` over Q(sqrt(d)), embedded with
+    sqrt(d) > 0: its nonzero twisted terms
+    (chi(n) a_f((n^2-1)/24), float(n)) for n <= big_n, in n order."""
 
     weight: int
-    disc: int
     big_n: int
     terms: tuple[tuple[float, float], ...]
 
 
 def _partial_sum(terms: tuple[tuple[float, float], ...], s: int) -> float:
-    """_neumaier_sum of coeff * n^(-s) over ``terms``, inlined.
+    """The correctly rounded sum of coeff * n^(-s) over ``terms``.
 
     The n ascend, so once n^(-s) underflows to 0.0 every later term is 0.0
-    too, and adding 0.0 changes neither accumulator word: the loop stops
-    there with the same bits as summing every term.
+    too and leaves the sum alone: the terms stop there.
     """
-    total = comp = 0.0
     neg_s = -s
-    for coeff, n in terms:
-        scale = n ** neg_s
-        if not scale:
-            break
-        x = coeff * scale
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
+    kept = terms[: bisect_left(terms, True, key=lambda term: not term[1] ** neg_s)]
+    return math.fsum([coeff * n**neg_s for coeff, n in kept])
 
 
 def _terms_to(f: EmbeddedEigenform, N: int, s: int) -> tuple[tuple[float, float], ...]:
@@ -213,10 +188,9 @@ def dirichlet_partial(f: EmbeddedEigenform, N: int, s: int) -> float:
 
 @lru_cache(maxsize=8)
 def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float], ...]:
-    """(s, beta(nu, j, m)) as floats in summation order, j outer, m inner,
-    with s = 2nu+1+2m+2j.  The exact weights are
-    beta(nu, j, m) = beta(nu, j, 0) C(2nu+m-2, m), rounded by _pi_scaled:
-    the same floats as dirichlet_weight_float."""
+    """(s, beta(nu, j, m)) as floats, j outer, m inner, with s = 2nu+1+2m+2j.
+    The exact weights are beta(nu, j, m) = beta(nu, j, 0) C(2nu+m-2, m),
+    rounded by _pi_scaled: the same floats as dirichlet_weight_float."""
     firsts = [dirichlet_weight(nu, j, 0) for j in range(nu - 1)]
     rationals = [(r.numerator * math.comb(2 * nu + m - 2, m), r.denominator) for r in firsts for m in range(M + 1)]
     exponents = [2 * nu + 1 + 2 * m + 2 * j for j in range(nu - 1) for m in range(M + 1)]
@@ -224,13 +198,13 @@ def _float_weights(nu: int, M: int, dps: int | None) -> tuple[tuple[int, float],
 
 
 def dirichlet_double_sum(f: EmbeddedEigenform, nu: int, M: int, N: int, dps: int | None = None) -> float:
-    """The truncated weighted double sum (j outer, m inner, n innermost).
+    """The truncated double sum: its weighted partial sums, correctly rounded.
 
     ``dps`` switches the weight evaluation to mpmath at that many decimal
     digits (the optional wide-float mode); the partial sums stay binary64.
     Each of the M + nu - 1 distinct exponents is summed once, which gives
-    the same float as calling dirichlet_partial and dirichlet_weight_float
-    for every (j, m).  ``f`` has weight 2nu: a larger nu raises here, a
+    the same float as summing dirichlet_weight_float times dirichlet_partial
+    over every (j, m).  ``f`` has weight 2nu: a larger nu raises here, a
     smaller one at the convergence bound of the partial sums.
     """
     if M < 0:
@@ -239,7 +213,7 @@ def dirichlet_double_sum(f: EmbeddedEigenform, nu: int, M: int, N: int, dps: int
         raise ValueError(f"nu = {nu} does not match the weight-{f.weight} eigenform")
     terms = _terms_to(f, N, 2 * nu + 1)
     sums = {s: _partial_sum(terms, s) for s in range(2 * nu + 1, 2 * nu + 1 + 2 * (M + nu - 1), 2)}
-    return _neumaier_sum([weight * sums[s] for s, weight in _float_weights(nu, M, dps)])
+    return math.fsum([weight * sums[s] for s, weight in _float_weights(nu, M, dps)])
 
 
 def _half_product(p: tuple[int, int], q: tuple[int, int], d: int) -> tuple[int, int]:
@@ -310,9 +284,9 @@ def embedded_eigenforms(nu: int, N: int) -> tuple[EmbeddedEigenform, ...]:
                 )
             # int / int rounds once, as float(Fraction(x, 2)) does; chi = +-1 flips the sign exactly
             coeff = chi * (pair[0] / 2 + (pair[1] / 2) * sqrt_d)
-            if coeff:  # a zero term leaves a Neumaier sum's bits alone
+            if coeff:  # a zero term leaves the sum alone
                 terms.append((coeff, n))
-        out.append(EmbeddedEigenform(weight, d, N, tuple(terms)))
+        out.append(EmbeddedEigenform(weight, N, tuple(terms)))
     return tuple(out)
 
 
@@ -320,7 +294,6 @@ class NormEstimate(NamedTuple):
     """Per-eigenform double sums, exact projection ratios and the Petersson
     norm estimates they give, with the truncations that produced them."""
 
-    nu: int
     big_m: int
     big_n: int
     double_sums: tuple[float, ...]
@@ -344,4 +317,4 @@ def _norm_estimate(nu: int, M: int, N: int, dps: int | None) -> NormEstimate:
     projections = eigenform_projections(nu)
     sums = tuple(dirichlet_double_sum(f, nu, M, N, dps) for f in embedded_eigenforms(nu, N))
     estimates = tuple(s / gamma.embed() for s, gamma in zip(sums, projections))
-    return NormEstimate(nu, M, N, sums, projections, estimates)
+    return NormEstimate(M, N, sums, projections, estimates)

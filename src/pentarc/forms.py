@@ -95,10 +95,7 @@ class MFSpace(NamedTuple):
     """Monomial basis E4^a E6^b of M_weight, in lexicographic (a, b) order."""
 
     weight: int
-    dim_total: int
-    dim_cusp: int
     basis: tuple[IntQSeries, ...]
-    prec: int
 
 
 #: ``pnu`` reads one space per request; ``verify`` and the eigenforms read none
@@ -107,30 +104,28 @@ def space_basis(weight: int, prec: int) -> MFSpace:
     """Monomial basis of M_weight, exact through q^(prec-1)."""
     if weight < 4 or weight % 2:
         raise ValueError("space_basis needs an even weight >= 4")
-    dim_total = dim_modular(weight)
-    if prec <= dim_total + 2:
+    if prec <= dim_modular(weight) + 2:
         raise PrecisionError(f"prec {prec} too small for weight-{weight} space")
-    basis = tuple(_monomial_rows(weight, IntQSeries._make(0, [1] + [0] * (prec - 1))))
-    return MFSpace(weight, dim_total, dim_total - 1, basis, prec)
+    return MFSpace(weight, tuple(_monomial_rows(weight, IntQSeries._make(0, [1] + [0] * (prec - 1)))))
 
 
 def decompose(f: IntQSeries, space: MFSpace) -> list[Fraction]:
     """Exact coordinates of f in the monomial basis of the space.
 
-    Solves against the first dim_total coefficients and then verifies that
+    Solves against the first dim M_weight coefficients and then verifies that
     the residual vanishes through the common precision, in integers: the
     coordinates over their common denominator, and the numerators of the
     basis and of f over theirs.  A nonzero residual raises NotInSpaceError.
     """
     if f.offset < 0:
         raise ValueError("decompose expects exponents >= 0")
-    if f.prec < space.dim_total + 1:
+    n_rows = len(space.basis)
+    if f.prec < n_rows + 1:
         raise PrecisionError("series too short to decompose")
-    n_rows = space.dim_total
     matrix = [[space.basis[j].coeff(n) for j in range(n_rows)] for n in range(n_rows)]
     rhs = [f.coeff(n) for n in range(n_rows)]
     coords = solve(matrix, rhs)
-    check_prec = min(f.prec, space.prec)
+    check_prec = min(f.prec, space.basis[0].prec)
     # sum_j c_j B_j / den_j = F / f.den, times lcm(c_j denominators) * lcm(den_j) * f.den
     scale = lcm(*(c.denominator for c in coords))
     basis_den = lcm(*(b.den for b in space.basis))

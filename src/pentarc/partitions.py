@@ -44,7 +44,6 @@ def pentagonal(k: int) -> int:
     return (3 * k * k + k) // 2
 
 
-@lru_cache(maxsize=8)  # a ``verify all`` pass, the busiest workload, reads 10 n_max
 def pentagonal_terms(n_max: int) -> tuple[tuple[int, int], ...]:
     """(k, omega(k)) for every k != 0 with omega(k) <= n_max, ascending in omega.
 
@@ -178,7 +177,7 @@ class _PackedWeights(NamedTuple):
     width: int
 
 
-@lru_cache(maxsize=16)  # ``verify all`` reads 29 (nu, n_max) cold and none warm; 11.2 MB at (200, 10^4)
+@lru_cache(maxsize=16)  # ``verify all`` reads 29 (nu, n_max) cold and misses none warm; 11.2 MB at (200, 10^4)
 def _weight_columns(nu: int, n_max: int) -> _PackedWeights:
     """W(n, k) = sum_j w_j (24n - u)^j u^(nu-j) expanded in powers of 24n,
     e_i = sum_{j >= i} (-1)^(j-i) C(j, i) w_j for the w_j of
@@ -265,7 +264,9 @@ def recurrence_rhs(nu: int, n: int, trace: Fraction, ptable: PartitionTable) -> 
     weights, _ = bracket_weights(nu)
     w0 = _weight_numerator(weights, n, 0)
     if w0 == 0:
-        # cannot occur for n >= 1; guard kept so a regression is loud
+        # cannot occur for n >= 1: w0 = Q(24n - 1) for Q(y) = sum_j w_j y^j, whose
+        # constant term w_0 = -1 leaves +-1 as its only possible integer roots
+        # (rational root theorem), and 24n - 1 >= 23; kept so a regression is loud
         raise InternalCancellationError(f"vanishing k=0 weight at nu={nu}, n={n}")
     a, b, d = _rhs_constants(nu)
     tn, td = trace.numerator, trace.denominator

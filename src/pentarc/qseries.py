@@ -316,7 +316,6 @@ def to_int_series(s: QSeries24) -> IntQSeries:
     return IntQSeries._make(off, s.coeffs[24 * off - s.offset24 :: 24], s.den)
 
 
-@lru_cache(maxsize=32)  # a ``verify all`` pass, the busiest workload, reads 5 prec
 def euler_expansion(prec: int) -> IntQSeries:
     """Euler's function prod_{n>=1} (1 - q^n) = sum over k in Z of (-1)^k q^omega(k).
 

@@ -102,14 +102,14 @@ def test_dimension_closed_form_counts_the_monomials():
 def test_space_basis_staircase():
     for weight in (12, 16, 24, 26, 28):
         sp = space_basis(weight, 20)
-        assert len(sp.basis) == sp.dim_total
-        assert sp.dim_cusp == dim_cusp(weight) == sp.dim_total - 1
+        assert len(sp.basis) == dim_modular(weight)
+        assert dim_cusp(weight) == len(sp.basis) - 1
     # Delta E4^a E6^b = (E4^(a+3) E6^b - E4^a E6^(b+2)) / 1728: each cusp row is
     # the difference of two neighbouring basis rows, so the two bases span S_weight
     for weight in range(12, 41, 2):
         sp = space_basis(weight, 20)
         cusp = cusp_monomials(weight, 20)
-        assert len(cusp) == sp.dim_cusp
+        assert len(cusp) == dim_cusp(weight)
         for i, row in enumerate(cusp):
             lo, hi = sp.basis[i], sp.basis[i + 1]
             assert [F(c) for c in row] == [(hi.coeff(n) - lo.coeff(n)) / 1728 for n in range(20)], (weight, i)
@@ -193,8 +193,8 @@ def test_decompose_residual_check_reads_every_coefficient():
         f = term if f is None else f + term
     assert f.den != 1
     assert decompose(f, sp) == coords
-    check_prec = min(f.prec, sp.prec)
-    for n in (sp.dim_total, check_prec - 1):
+    check_prec = min(f.prec, sp.basis[0].prec)
+    for n in (len(sp.basis), check_prec - 1):
         nums = list(f.coeffs)
         nums[n] += 1
         with pytest.raises(NotInSpaceError, match=rf"residual at q\^{n}:"):

@@ -237,8 +237,8 @@ print(json.dumps(report))
 def test_warm_benchmark_pass_misses_no_cache():
     """Every cache holds what its workload reads, so the benchmark's warm pass
     computes nothing again.  The one exception: ``verify all`` reads 10 n_max
-    of ``partition_table`` and ``pentagonal_terms``, whose 8 slots stay that
-    small because an entry at n_max = 10^5 takes 12.2 MB."""
+    of ``partition_table``, whose 8 slots stay that small because an entry
+    at n_max = 10^5 takes 12.2 MB."""
     workloads_py = ROOT / "perfbench" / "workloads.py"
     namespace: dict = {}  # executed from its source text, so nothing is written beside it
     exec(compile(workloads_py.read_text(encoding="utf-8"), str(workloads_py), "exec"), namespace)
@@ -251,7 +251,7 @@ def test_warm_benchmark_pass_misses_no_cache():
     misses = json.loads(run.stdout)
     assert misses == {
         **{name: {} for name in workloads},
-        "verify": {"partitions.partition_table": 1, "partitions.pentagonal_terms": 1},
+        "verify": {"partitions.partition_table": 1},
     }
 
 

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from pentarc.cli import MAX_NU
 from pentarc.forms import dim_cusp
 from pentarc.hecke import trace_series
 from pentarc.exactnum import bernoulli, falling_factorial
@@ -142,6 +143,19 @@ def test_weight_at_zero_never_vanishes():
     for nu in range(15):
         for n in range(1, 1001):
             assert recurrence_weight(nu, n, 0) != 0
+
+
+def test_weight_at_zero_is_an_integer_polynomial_with_constant_term_minus_one():
+    """The premises of recurrence_rhs's proof that W(n, 0) != 0 for n >= 1:
+    W(n, 0) = Q(24n - 1) with Q(y) = sum_j w_j y^j, and w_0 = -1, so Q has
+    no integer root beyond +-1."""
+    for nu in range(MAX_NU + 1):
+        weights, _ = bracket_weights(nu)
+        assert weights[0] == -1, nu
+    for nu in (0, 2, 7, 40, MAX_NU):
+        weights, _ = bracket_weights(nu)
+        for n in (1, 2, 99):
+            assert _weight_numerator(weights, n, 0) == sum(w * (24 * n - 1) ** j for j, w in enumerate(weights))
 
 
 def test_recurrence_rhs_basic_cases():

@@ -39,7 +39,7 @@ def test_brackets_are_modular():
         prec = 20
         sp = space_basis(2 * nu, prec)
         coords = decompose(eta_bracket(nu, prec), sp)  # raises on residual
-        assert len(coords) == sp.dim_total
+        assert len(coords) == len(sp.basis)
 
 
 def test_rankin_cohen_order_zero_is_product():

@@ -46,9 +46,9 @@ def test_jsonable_maps_records_to_dicts():
     }
     with pytest.raises(TypeError, match="complex"):  # the CLI never emits a Kloosterman sum
         jsonable(KloostermanSum(1.5 - 0.25j, 1))
-    est = NormEstimate(12, 100, 360, (-49.6, 2.0), (QuadNum(F(1, 2), F(-3, 7), 5), QuadNum(1, 0, 5)), (1.25e-06, -0.5))
+    est = NormEstimate(100, 360, (-49.6, 2.0), (QuadNum(F(1, 2), F(-3, 7), 5), QuadNum(1, 0, 5)), (1.25e-06, -0.5))
     assert jsonable({"r": [est]}) == {"r": [{
-        "nu": 12, "big_m": 100, "big_n": 360, "double_sums": ["-49.600000000000001", "2"],
+        "big_m": 100, "big_n": 360, "double_sums": ["-49.600000000000001", "2"],
         "projections": [{"a": "1/2", "b": "-3/7", "d": 5}, {"a": "1", "b": "0", "d": 1}],
         "estimates": ["1.2500000000000001e-06", "-0.5"],
     }]}
